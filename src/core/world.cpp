@@ -13,30 +13,31 @@ namespace narma {
 namespace {
 
 WorldParams resolve_params(WorldParams p) {
-  // Ablation override (see WorldParams::sim). Unknown values keep the
-  // configured queue.
-  const std::string q = env::get_string("NARMA_EVENT_QUEUE", "");
+  // Ablation override (see WorldParams::sim). Malformed or unknown values
+  // of any NARMA_* knob below are fatal (common/env.hpp).
+  const std::string q =
+      env::get_choice("NARMA_EVENT_QUEUE", {"legacy", "calendar"});
   if (q == "legacy") p.sim.event_queue = sim::EventQueue::kLegacyHeap;
   if (q == "calendar") p.sim.event_queue = sim::EventQueue::kCalendar;
-  // Execution-model override (see sim::ExecModel). Unknown values keep the
-  // configured model; NARMA_STACK_KB resizes the per-rank fiber stack.
-  const std::string ex = env::get_string("NARMA_EXEC", "");
+  // Execution-model override (see sim::ExecModel); NARMA_STACK_KB resizes
+  // the per-rank fiber stack.
+  const std::string ex = env::get_choice("NARMA_EXEC", {"threads", "fibers"});
   if (ex == "threads") p.sim.exec_model = sim::ExecModel::kThreads;
   if (ex == "fibers") p.sim.exec_model = sim::ExecModel::kFibers;
   const std::int64_t stack_kb = env::get_int(
       "NARMA_STACK_KB", static_cast<std::int64_t>(p.sim.stack_bytes / 1024));
   if (stack_kb > 0) p.sim.stack_bytes = static_cast<std::size_t>(stack_kb) * 1024;
-  // Fault-model overrides (see net::FaultParams and DESIGN.md §10). Unknown
-  // NARMA_OVERFLOW values keep the configured policy.
-  const std::string o = env::get_string("NARMA_OVERFLOW", "");
+  // Fault-model overrides (see net::FaultParams and DESIGN.md §10).
+  const std::string o =
+      env::get_choice("NARMA_OVERFLOW", {"fatal", "backpressure"});
   if (o == "fatal")
     p.fabric.faults.overflow_policy = net::OverflowPolicy::kFatal;
   if (o == "backpressure")
     p.fabric.faults.overflow_policy = net::OverflowPolicy::kBackpressure;
   // Inter-node transport backend (see net::TransportBackend and DESIGN.md
-  // §11). Unknown values keep the configured backend; shm is not a valid
-  // inter-node transport, so it is not accepted here.
-  const std::string tr = env::get_string("NARMA_TRANSPORT", "");
+  // §11). shm is not a valid inter-node transport, so it is not accepted.
+  const std::string tr =
+      env::get_choice("NARMA_TRANSPORT", {"aries", "ramc", "verbs"});
   if (tr == "aries") p.fabric.inter_node = net::BackendKind::kAries;
   if (tr == "ramc") p.fabric.inter_node = net::BackendKind::kRamc;
   if (tr == "verbs") p.fabric.inter_node = net::BackendKind::kVerbs;
@@ -52,19 +53,11 @@ WorldParams resolve_params(WorldParams p) {
   f.fail_rate = env::get_double("NARMA_FT_FAIL_RATE", f.fail_rate);
   f.max_fails = static_cast<int>(
       env::get_int("NARMA_FT_MAX_FAILS", f.max_fails));
-  // Observability-mode overrides (DESIGN.md §14). Unknown NARMA_OBS values
-  // keep the configured mode.
-  const std::string om = env::get_string("NARMA_OBS", "");
-  if (om == "dense") p.obs.obs_mode = obs::ObsMode::kDense;
-  if (om == "aggregate") p.obs.obs_mode = obs::ObsMode::kAggregate;
-  p.obs.obs_shards = static_cast<int>(
-      env::get_int("NARMA_OBS_SHARDS", p.obs.obs_shards));
+  // Observability overrides (DESIGN.md §14).
   p.obs.outlier_k = static_cast<int>(
       env::get_int("NARMA_OBS_OUTLIER_K", p.obs.outlier_k));
   p.obs.sample_ranks = static_cast<int>(
       env::get_int("NARMA_OBS_SAMPLE_RANKS", p.obs.sample_ranks));
-  p.obs.perfetto_gauge_rank_limit = static_cast<int>(env::get_int(
-      "NARMA_OBS_GAUGE_RANK_LIMIT", p.obs.perfetto_gauge_rank_limit));
   const std::int64_t jcap = env::get_int(
       "NARMA_OBS_JOURNAL_CAP",
       static_cast<std::int64_t>(p.obs.journal_capacity));
@@ -220,7 +213,7 @@ void World::run(const std::function<void(Rank&)>& rank_main) {
   // bit-determinism of the time-series JSON).
   if (profiler_) profiler_->export_to(*metrics_, t_end);
   // The recorder finalizes *after* every post-run metric write above so the
-  // final window's deltas telescope exactly to the narma.metrics.v1 totals.
+  // final window's deltas telescope exactly to the narma.metrics.v2 totals.
   if (timeseries_) {
     timeseries_->finalize(t_end);
     if (msgtrace_) {

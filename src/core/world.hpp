@@ -102,7 +102,7 @@ class World {
 
   /// The metrics registry; nullptr when WorldParams::enable_metrics is off.
   obs::Registry* metrics() { return metrics_.get(); }
-  /// Writes the narma.metrics.v1 JSON dump (see DESIGN.md Sec. 7); false
+  /// Writes the narma.metrics.v2 JSON dump (see DESIGN.md Sec. 7); false
   /// when metrics are disabled or the file cannot be written.
   bool dump_metrics(const std::string& path) const {
     return metrics_ && metrics_->write_json(path);

@@ -1,8 +1,8 @@
 // Unified runtime metrics: the observability substrate every layer reports
 // into (ROADMAP: perf PRs measure against this).
 //
-// A Registry is a per-World collection of named metric *families*, each with
-// one cell per rank:
+// A Registry is a per-World collection of named metric *families*, each
+// tracking every rank:
 //
 //  * Counter   — monotone event/byte counts (FMA ops, eager sends, ...).
 //  * Gauge     — instantaneous levels with high-water tracking (CQ depth,
@@ -16,37 +16,40 @@
 // arithmetic is correct here because the simulation engine runs at most one
 // thread at any instant; the semaphore handoffs give the needed ordering.
 //
-// When a sim::Tracer is attached, every gauge change is mirrored as a Chrome
-// trace-event "C" (counter) sample, so Perfetto shows CQ/UQ depth tracks
-// aligned with the span timeline. Counters and histograms are export-only.
+// When a sim::Tracer is attached, every gauge change of a sampled rank is
+// mirrored as a Chrome trace-event "C" (counter) sample, so Perfetto shows
+// CQ/UQ depth tracks aligned with the span timeline (the sample caps the
+// track count at scale). Counters and histograms are export-only.
 //
-// Registry::to_json() emits the stable schema consumed by `narma_cli report`
-// (see DESIGN.md §7):
+// Storage is one layout sized for scale (DESIGN.md §14): every family keeps
+// an exact per-rank scalar array — counters an 8 B total, gauges a 16 B
+// (level, high-water) pair, histograms an 8 B running max — plus, for
+// histograms, full log2 buckets only for a deterministic rank sample and one
+// shared remainder histogram for every other rank. The sample is every rank
+// when nranks <= ObsParams::sample_ranks, so small runs keep full per-rank
+// detail; per-rank counter and gauge queries are exact at every scale.
+// Outliers (the top-k ranks by counter total, gauge high-water or histogram
+// max) are computed when read, from those exact scalars.
 //
-//   {"schema":"narma.metrics.v1","nranks":N,"metrics":[
-//     {"name":...,"kind":"counter","per_rank":[{"rank":0,"value":V},...]},
-//     {"name":...,"kind":"gauge","per_rank":[{"rank":0,"value":V,
-//      "high_water":H},...]},
-//     {"name":...,"kind":"histogram","per_rank":[{"rank":0,"count":N,
-//      "sum":S,"min":m,"max":M,"buckets":[{"lo":..,"hi":..,"count":..}]}]}]}
+// Registry::to_json() emits the stable narma.metrics.v2 schema consumed by
+// `narma_cli report` and `diff` (see DESIGN.md §7):
 //
-// Aggregate mode (ObsParams::obs_mode == ObsMode::kAggregate, DESIGN.md
-// §14) replaces the per-rank cells of each family with a fixed number of
-// *shard* cells (a rank's updates land in shard rank % shards), a
-// deterministic sample of ranks that keep full exact cells, and a bounded
-// top-k tracker of the most extreme ranks. Handles stay the same cheap
-// value types; the hot path gains one predicted branch in dense mode and
-// one compare against the top-k admission floor in aggregate mode.
-// Aggregate-mode reductions (sum / count / high-water) are bit-identical
-// to reducing the dense cells of the same run, and to_json() emits the
-// narma.metrics.v2 schema with {aggregate, outliers, sampled} sections
-// per family instead of the per_rank array.
+//   {"schema":"narma.metrics.v2","nranks":N,"sample_ranks":[...],
+//    "outlier_k":K,"metrics":[
+//     {"name":...,"kind":"counter","aggregate":{"sum":S,"active_ranks":A,
+//      "max":M},"outliers":[{"rank":r,"value":v},...],
+//      "sampled":[{"rank":r,"value":V},...]},
+//     {"name":...,"kind":"gauge","aggregate":{"last":L,"high_water":H},
+//      "outliers":[...],"sampled":[{"rank":r,"value":V,"high_water":H}]},
+//     {"name":...,"kind":"histogram","aggregate":{"count":N,"sum":S,
+//      "min":m,"max":M,"p50":..,"p90":..,"p99":..,"buckets":[{"lo":..,
+//      "hi":..,"count":..}]},"outliers":[...],"sampled":[{"rank":r,
+//      "count":N,...,"buckets":[...]}]}]}
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -79,7 +82,7 @@ struct HistData {
   void record_multi(std::uint64_t v, std::uint64_t n);
   /// Adds `o` into this histogram. Log2 buckets merge exactly: the merged
   /// histogram equals the histogram of the concatenated sample streams,
-  /// which is what makes aggregate-mode exports bit-identical reductions.
+  /// which is what keeps the sampled + remainder family merge exact.
   void merge(const HistData& o);
   /// Quantile estimate: the value at sorted position q*(count-1), linearly
   /// interpolated within the covering bucket and clamped to the observed
@@ -95,151 +98,101 @@ class Registry;
 
 namespace detail {
 
-/// Per-(family, rank) storage. Stable address for the life of the Registry.
-/// In aggregate mode a cell is either a *shard* (rank = -1 - shard index,
-/// accumulating every non-sampled rank with rank % shards == shard) or an
-/// exact *sampled-rank* cell.
-struct Cell {
-  Registry* reg = nullptr;
-  const std::string* name = nullptr;  // owned by the family
-  int rank = 0;
-  std::uint64_t count = 0;    // counter
-  std::int64_t level = 0;     // gauge
+/// Per-rank gauge storage: the exact level and its high-water.
+struct GaugeSlot {
+  std::int64_t level = 0;
   std::int64_t high_water = 0;
-  Time last_set = 0;          // virtual time of the last gauge set()
-  bool mirror = true;         // mirror gauge changes into the tracer?
-  HistData hist;              // histogram
 };
 
-/// Aggregate-mode per-family extremity tracker: the k ranks with the most
-/// extreme score, maintained *exactly* in O(k) state. Exactness argument:
-/// every tracked score is a per-rank running maximum (counter totals only
-/// grow; gauge high-waters and histogram maxima are maxima by definition),
-/// so the admission floor — the minimum retained score once k entries are
-/// held — is nondecreasing, an evicted rank's true maximum was <= the floor
-/// at eviction, and re-admission requires a new value strictly above the
-/// current floor. The retained entries are therefore always the true top-k.
-/// Counters additionally keep an 8 B/rank running total, and gauges an
-/// 8 B/rank current level, so the outlier score, per-rank introspection,
-/// and delta updates (Gauge::add) stay exact under sharding — a shard cell
-/// is shared, so its level is only ever a last-writer value, never a safe
-/// base for read-modify-write.
-struct AggFamily {
-  struct Entry {
-    int rank;
-    std::int64_t score;
-  };
-  std::vector<std::uint64_t> rank_total;  // counters only; else empty
-  std::vector<std::int64_t> rank_level;   // gauges only; else empty
-  std::vector<Entry> topk;                // unsorted, <= k entries
-  std::int64_t floor_ = std::numeric_limits<std::int64_t>::min();
-  int k = 0;
-
-  /// Hot path: a single compare against the admission floor.
-  void note(int rank, std::int64_t v) {
-    if (v > floor_) admit(rank, v);
-  }
-  void admit(int rank, std::int64_t v);  // cold path (metrics.cpp)
+/// One metric family. Its arrays are sized once at registration and never
+/// grow, so handle pointers into them stay valid for the Registry's life.
+/// Only the arrays of the family's kind are allocated.
+struct Family {
+  Registry* reg = nullptr;
+  std::string name;
+  Kind kind = Kind::kCounter;
+  std::vector<std::uint64_t> totals;  // counter: per-rank total
+  std::vector<GaugeSlot> gauges;      // gauge: per-rank level + high-water
+  std::int64_t last = 0;              // gauge: value of the latest set()
+  Time last_at = 0;                   //   (by virtual time; ties: later call)
+  std::vector<std::uint64_t> maxima;  // histogram: per-rank max sample
+  std::vector<HistData> sampled;      // histogram: one per sampled rank
+  HistData rest;                      // histogram: all unsampled ranks
 };
 
 }  // namespace detail
 
 /// Monotone event counter handle. Default-constructed handles are no-ops.
-/// In aggregate mode the handle also maintains the owning rank's exact
-/// running total and feeds it to the family's top-k tracker.
 class Counter {
  public:
   Counter() = default;
   void inc(std::uint64_t n = 1) {
-    if (!cell_) return;
-    cell_->count += n;
-    if (agg_) {
-      std::uint64_t& t = agg_->rank_total[static_cast<std::size_t>(rank_)];
-      t += n;
-      agg_->note(rank_, static_cast<std::int64_t>(t));
-    }
+    if (slot_) *slot_ += n;
   }
-  /// Exact in both modes: aggregate handles read the per-rank total.
-  std::uint64_t value() const {
-    if (agg_) return agg_->rank_total[static_cast<std::size_t>(rank_)];
-    return cell_ ? cell_->count : 0;
-  }
-  explicit operator bool() const { return cell_ != nullptr; }
+  std::uint64_t value() const { return slot_ ? *slot_ : 0; }
+  explicit operator bool() const { return slot_ != nullptr; }
 
  private:
   friend class Registry;
-  explicit Counter(detail::Cell* c, detail::AggFamily* a = nullptr,
-                   std::int32_t r = 0)
-      : cell_(c), agg_(a), rank_(r) {}
-  detail::Cell* cell_ = nullptr;
-  detail::AggFamily* agg_ = nullptr;
-  std::int32_t rank_ = 0;
+  explicit Counter(std::uint64_t* slot) : slot_(slot) {}
+  std::uint64_t* slot_ = nullptr;
 };
 
 /// Level gauge handle with high-water tracking. `at` is the virtual time of
-/// the change (used for the tracer counter-track sample).
+/// the change (used for the family's last value and the tracer sample).
 class Gauge {
  public:
   Gauge() = default;
   void set(std::int64_t v, Time at);
-  /// Delta update. Reads the *owning rank's* level, not the cell's: shard
-  /// cells are shared across ranks in aggregate mode, and compounding a
-  /// delta onto another rank's level would inflate the shard (and its
-  /// high-water) past any real per-rank value.
   void add(std::int64_t d, Time at) {
-    if (cell_) set(value() + d, at);
+    if (slot_) set(slot_->level + d, at);
   }
-  /// Exact in both modes: aggregate handles read the per-rank level.
-  std::int64_t value() const {
-    if (agg_ && !agg_->rank_level.empty())
-      return agg_->rank_level[static_cast<std::size_t>(rank_)];
-    return cell_ ? cell_->level : 0;
-  }
-  std::int64_t high_water() const { return cell_ ? cell_->high_water : 0; }
-  explicit operator bool() const { return cell_ != nullptr; }
+  std::int64_t value() const { return slot_ ? slot_->level : 0; }
+  std::int64_t high_water() const { return slot_ ? slot_->high_water : 0; }
+  explicit operator bool() const { return slot_ != nullptr; }
 
  private:
   friend class Registry;
-  explicit Gauge(detail::Cell* c, detail::AggFamily* a = nullptr,
-                 std::int32_t r = 0)
-      : cell_(c), agg_(a), rank_(r) {}
-  detail::Cell* cell_ = nullptr;
-  detail::AggFamily* agg_ = nullptr;
+  Gauge(detail::GaugeSlot* slot, detail::Family* fam, std::int32_t rank,
+        bool mirror)
+      : slot_(slot), fam_(fam), rank_(rank), mirror_(mirror) {}
+  detail::GaugeSlot* slot_ = nullptr;
+  detail::Family* fam_ = nullptr;
   std::int32_t rank_ = 0;
+  bool mirror_ = false;  // sampled rank: mirror changes into the tracer
 };
 
-/// Log2-bucketed histogram handle.
+/// Log2-bucketed histogram handle. Samples land in the rank's own exact
+/// histogram when the rank is sampled, else in the family's shared
+/// remainder; the rank's max sample is always kept exactly.
 class Histogram {
  public:
   Histogram() = default;
   void record(std::uint64_t v) {
-    if (!cell_) return;
-    cell_->hist.record(v);
-    if (agg_) agg_->note(rank_, static_cast<std::int64_t>(v));
+    if (!hist_) return;
+    hist_->record(v);
+    if (v > *max_) *max_ = v;
   }
   /// Bulk merge: `n` samples of value `v` in O(1).
   void record_multi(std::uint64_t v, std::uint64_t n) {
-    if (!cell_) return;
-    cell_->hist.record_multi(v, n);
-    if (agg_ && n > 0) agg_->note(rank_, static_cast<std::int64_t>(v));
+    if (!hist_ || n == 0) return;
+    hist_->record_multi(v, n);
+    if (v > *max_) *max_ = v;
   }
   void record_time(Time dt) { record(static_cast<std::uint64_t>(to_ns(dt))); }
-  const HistData* data() const { return cell_ ? &cell_->hist : nullptr; }
-  explicit operator bool() const { return cell_ != nullptr; }
+  /// The histogram this handle records into: the rank's own for a sampled
+  /// rank, the family's shared remainder otherwise.
+  const HistData* data() const { return hist_; }
+  explicit operator bool() const { return hist_ != nullptr; }
 
  private:
   friend class Registry;
-  explicit Histogram(detail::Cell* c, detail::AggFamily* a = nullptr,
-                     std::int32_t r = 0)
-      : cell_(c), agg_(a), rank_(r) {}
-  detail::Cell* cell_ = nullptr;
-  detail::AggFamily* agg_ = nullptr;
-  std::int32_t rank_ = 0;
+  Histogram(HistData* hist, std::uint64_t* max) : hist_(hist), max_(max) {}
+  HistData* hist_ = nullptr;
+  std::uint64_t* max_ = nullptr;
 };
 
-/// Per-World metric registry. Dense mode: one exact cell per (family,
-/// rank). Aggregate mode: per-family shard cells + exact sampled-rank
-/// cells + a top-k outlier tracker (see the header comment).
+/// Per-World metric registry (see the header comment for the layout).
 class Registry {
  public:
   explicit Registry(int nranks, const ObsParams& params = {});
@@ -247,18 +200,16 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   int nranks() const { return nranks_; }
-  ObsMode mode() const { return params_.obs_mode; }
-  /// Shard cells per family in aggregate mode (1 in dense mode).
-  int shards() const { return shards_; }
-  /// Ranks that keep full exact cells in aggregate mode (empty in dense).
+  /// Ranks that keep exact histograms and per-rank rows in visit(), the
+  /// dump and the flight recorder: every rank when nranks <= sample_ranks,
+  /// else sample_ranks evenly spaced ranks (0, stride, 2*stride, ...).
   const std::vector<int>& sampled_ranks() const { return sample_ranks_; }
-  /// Rows visit() can emit per family: nranks in dense mode, shards +
-  /// sampled in aggregate mode. The flight recorder sizes its baseline
-  /// arrays off this.
+  /// Rows visit() emits per family: one per sampled rank, plus one
+  /// remainder row when some rank is unsampled. The flight recorder sizes
+  /// its baseline arrays off this.
   int max_rows() const {
-    return params_.obs_mode == ObsMode::kDense
-               ? nranks_
-               : shards_ + static_cast<int>(sample_ranks_.size());
+    const int ns = static_cast<int>(sample_ranks_.size());
+    return ns + (ns < nranks_ ? 1 : 0);
   }
 
   /// Handle accessors create the family on first use; the kind of an
@@ -267,8 +218,9 @@ class Registry {
   Gauge gauge(const std::string& name, int rank);
   Histogram histogram(const std::string& name, int rank);
 
-  /// Mirrors gauge changes into `t` as Chrome "C" counter events (one track
-  /// per (metric, rank), sampled on change). nullptr detaches.
+  /// Mirrors sampled ranks' gauge changes into `t` as Chrome "C" counter
+  /// events (one track per (metric, rank), sampled on change). nullptr
+  /// detaches.
   void set_tracer(sim::Tracer* t) { tracer_ = t; }
   sim::Tracer* tracer() const { return tracer_; }
 
@@ -277,10 +229,11 @@ class Registry {
   bool has(const std::string& name) const;
   std::vector<std::string> names() const;
 
-  /// Read-only view of one cell, passed to visit(). `rank` is the true
-  /// rank for dense/sampled cells and -1 - shard for shard cells; `row` is
-  /// a dense per-family index in [0, max_rows()) usable as an array slot
-  /// (dense: row == rank; aggregate: shards first, then sampled ranks).
+  /// Read-only view of one row, passed to visit(). Sampled rows carry the
+  /// rank's exact values; the remainder row (rank -1) folds every unsampled
+  /// rank: the sum of their counter totals, the max of their gauge levels
+  /// and high-waters, and the shared remainder histogram. `row` is a dense
+  /// per-family index in [0, max_rows()) usable as an array slot.
   struct CellView {
     const std::string& name;
     Kind kind;
@@ -292,21 +245,17 @@ class Registry {
     const HistData& hist;         // histogram
   };
 
-  /// Iterates every cell in deterministic (name asc, row asc) order — the
+  /// Iterates every row in deterministic (name asc, row asc) order — the
   /// flight recorder's snapshot pass (src/obs/timeseries).
   void visit(const std::function<void(const CellView&)>& fn) const;
-  /// Per-rank introspection. In aggregate mode: counter and gauge values
-  /// stay exact (per-rank running totals / levels in the AggFamily);
-  /// histograms come from the exact sampled cell when `rank` is sampled,
-  /// else the covering shard; gauge high-water falls back to the
-  /// family-wide high-water for non-sampled ranks (an upper bound on the
-  /// rank's own).
+  /// Per-rank introspection. Counter and gauge values are exact for every
+  /// rank; hist_data is exact for sampled ranks and nullptr for the rest.
   std::uint64_t counter_value(const std::string& name, int rank) const;
   std::int64_t gauge_value(const std::string& name, int rank) const;
   std::int64_t gauge_high_water(const std::string& name, int rank) const;
   const HistData* hist_data(const std::string& name, int rank) const;
 
-  // --- Whole-family reductions (exact in both modes) -----------------------
+  // --- Whole-family reductions (exact) -------------------------------------
 
   /// Sum of a counter family over every rank.
   std::uint64_t aggregate_counter_sum(const std::string& name) const;
@@ -314,15 +263,17 @@ class Registry {
   int aggregate_counter_active(const std::string& name) const;
   /// Family-wide gauge high-water (max over ranks).
   std::int64_t aggregate_gauge_hw(const std::string& name) const;
-  /// Level of the most recently set cell (last-wins across cells; ties
-  /// break toward the later-visited cell). The "current value" a scalar
-  /// gauge like sim.run_wall_ns reduces to.
+  /// Value of the family's latest set() by virtual time (ties go to the
+  /// later call). The "current value" a scalar gauge like sim.run_wall_ns
+  /// reduces to.
   std::int64_t aggregate_gauge_last(const std::string& name) const;
   /// Merged histogram over every rank.
   HistData aggregate_hist(const std::string& name) const;
 
-  /// The retained top-k outlier ranks of a family, sorted by value
-  /// descending then rank ascending. Empty in dense mode.
+  /// The top ObsParams::outlier_k ranks of a family with a nonzero score,
+  /// computed on call from the exact per-rank scalars (counter total, gauge
+  /// high-water, histogram max), sorted by value descending then rank
+  /// ascending.
   struct OutlierView {
     int rank;
     std::int64_t value;
@@ -330,13 +281,12 @@ class Registry {
   std::vector<OutlierView> outliers(const std::string& name) const;
 
   /// Deterministic estimate of the registry's own storage footprint
-  /// (cells + aggregate trackers), for the obs.registry_bytes gauge.
+  /// (every per-rank array and sampled histogram), for the
+  /// obs.registry_bytes gauge.
   std::size_t footprint_bytes() const;
 
-  /// Renders the stable metrics JSON document: narma.metrics.v1 in dense
-  /// mode (families in lexicographic name order, ranks ascending) and
-  /// narma.metrics.v2 ({aggregate, outliers, sampled} per family) in
-  /// aggregate mode.
+  /// Renders the narma.metrics.v2 JSON document: families in lexicographic
+  /// name order, {aggregate, outliers, sampled} per family.
   std::string to_json() const;
   /// Writes to_json() to `path`; returns false on I/O failure.
   bool write_json(const std::string& path) const;
@@ -344,28 +294,17 @@ class Registry {
  private:
   friend class Gauge;
 
-  struct Family {
-    std::string name;
-    Kind kind = Kind::kCounter;
-    // Dense: one cell per rank. Aggregate: one cell per shard.
-    std::vector<detail::Cell> cells;  // sized once, never grows
-    // Aggregate only: exact cells for the sampled ranks (node-stable map).
-    std::map<int, detail::Cell> sampled;
-    std::unique_ptr<detail::AggFamily> agg;  // aggregate only
-  };
-
-  Family& family(const std::string& name, Kind kind);
-  const Family* find(const std::string& name) const;
-  const detail::Cell* cell_of(const std::string& name, int rank) const;
-  std::string to_json_v1() const;
-  std::string to_json_v2() const;
+  detail::Family& family(const std::string& name, Kind kind);
+  const detail::Family* find(const std::string& name) const;
+  /// Index of `rank` in sampled_ranks(), or -1 when it is not sampled.
+  int sample_index(int rank) const;
 
   int nranks_;
   ObsParams params_;
-  int shards_ = 1;               // aggregate-mode shard count (pow2)
-  std::vector<int> sample_ranks_;  // aggregate-mode sampled ranks, ascending
+  std::vector<int> sample_ranks_;  // ascending
+  int sample_stride_ = 1;
   // Sorted map: stable pointer per family and deterministic JSON order.
-  std::map<std::string, std::unique_ptr<Family>> families_;
+  std::map<std::string, std::unique_ptr<detail::Family>> families_;
   sim::Tracer* tracer_ = nullptr;
 };
 

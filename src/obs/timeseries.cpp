@@ -40,8 +40,7 @@ TimeSeries::TimeSeries(Registry& reg, sim::Engine& eng,
       window_ps_(params.timeseries_window_ps ? params.timeseries_window_ps
                                              : us(100)),
       capacity_(params.timeseries_capacity),
-      straggler_threshold_(params.straggler_threshold),
-      aggregate_(reg.mode() == ObsMode::kAggregate) {
+      straggler_threshold_(params.straggler_threshold) {
   NARMA_CHECK(window_ps_ > 0);
   NARMA_CHECK(capacity_ >= 4) << "flight recorder needs >= 4 windows";
   rank_base_.resize(static_cast<std::size_t>(eng.nranks()));
@@ -63,12 +62,8 @@ void TimeSeries::snapshot(Time boundary) {
   w.t_begin = last_boundary_;
   w.t_end = boundary;
   const int nranks = eng_.nranks();
-  if (!aggregate_) w.ranks.resize(static_cast<std::size_t>(nranks));
-  // Busy-fraction stats are needed for the aggregate summary and for the
-  // journal's straggler record; dense mode without a journal skips them.
-  const bool want_stats = aggregate_ || journal_ != nullptr;
   std::vector<double> fracs;
-  if (want_stats) fracs.reserve(static_cast<std::size_t>(nranks));
+  fracs.reserve(static_cast<std::size_t>(nranks));
   double min_busy = 2.0;
   std::int32_t min_rank = -1;
   const std::vector<int>& samples = reg_.sampled_ranks();
@@ -80,18 +75,14 @@ void TimeSeries::snapshot(Time boundary) {
     auto& abs = rank_base_[static_cast<std::size_t>(r)];  // absolute totals
     const RankDelta d{total - abs.d_total, blocked - abs.d_blocked};
     abs = {total, blocked};
-    if (!aggregate_) {
-      w.ranks[static_cast<std::size_t>(r)] = d;
-    } else {
-      w.agg.d_total_sum += d.d_total;
-      w.agg.d_blocked_sum += d.d_blocked;
-      if (d.d_total > 0) ++w.agg.active;
-      if (si < samples.size() && samples[si] == r) {
-        w.sampled.push_back({r, d});
-        ++si;
-      }
+    w.agg.d_total_sum += d.d_total;
+    w.agg.d_blocked_sum += d.d_blocked;
+    if (d.d_total > 0) ++w.agg.active;
+    if (si < samples.size() && samples[si] == r) {
+      w.sampled.push_back({r, d});
+      ++si;
     }
-    if (want_stats && d.d_total > 0) {
+    if (d.d_total > 0) {
       const double f = static_cast<double>(d.d_total - d.d_blocked) /
                        static_cast<double>(d.d_total);
       fracs.push_back(f);
@@ -101,17 +92,15 @@ void TimeSeries::snapshot(Time boundary) {
       }
     }
   }
-  if (want_stats && fracs.size() >= 2) {
+  if (fracs.size() >= 2) {
     std::vector<double> sorted = fracs;
     std::sort(sorted.begin(), sorted.end());
     const double median = sorted[sorted.size() / 2];
-    if (aggregate_) {
-      w.agg.median_busy = median;
-      w.agg.min_busy = min_busy;
-      w.agg.min_rank = min_rank;
-      for (double f : fracs)
-        if (f < median - straggler_threshold_) ++w.agg.stragglers;
-    }
+    w.agg.median_busy = median;
+    w.agg.min_busy = min_busy;
+    w.agg.min_rank = min_rank;
+    for (double f : fracs)
+      if (f < median - straggler_threshold_) ++w.agg.stragglers;
     // At most one journal record per window: the worst rank, if it crosses
     // the threshold. Busy fractions travel as parts-per-million integers.
     if (journal_ && min_rank >= 0 && min_busy < median - straggler_threshold_)
@@ -174,39 +163,33 @@ TimeSeries::Window TimeSeries::merge(Window&& a, Window&& b) const {
   m.t_begin = a.t_begin;
   m.t_end = b.t_end;
   m.merged = a.merged + b.merged;
-  m.ranks.resize(a.ranks.size());
-  for (std::size_t r = 0; r < a.ranks.size(); ++r)
-    m.ranks[r] = {a.ranks[r].d_total + b.ranks[r].d_total,
-                  a.ranks[r].d_blocked + b.ranks[r].d_blocked};
-  if (aggregate_) {
-    m.agg.d_total_sum = a.agg.d_total_sum + b.agg.d_total_sum;
-    m.agg.d_blocked_sum = a.agg.d_blocked_sum + b.agg.d_blocked_sum;
-    m.agg.active = std::max(a.agg.active, b.agg.active);
-    m.agg.stragglers = a.agg.stragglers + b.agg.stragglers;
-    // Weighted-average median: approximate but deterministic; the exact
-    // per-window medians are gone once their windows merge.
-    const double wa = static_cast<double>(a.merged);
-    const double wb = static_cast<double>(b.merged);
-    m.agg.median_busy =
-        (a.agg.median_busy * wa + b.agg.median_busy * wb) / (wa + wb);
-    if (b.agg.min_rank < 0 || (a.agg.min_rank >= 0 &&
-                               a.agg.min_busy <= b.agg.min_busy)) {
-      m.agg.min_busy = a.agg.min_busy;
-      m.agg.min_rank = a.agg.min_rank;
-    } else {
-      m.agg.min_busy = b.agg.min_busy;
-      m.agg.min_rank = b.agg.min_rank;
-    }
-    m.sampled.resize(a.sampled.size());
-    for (std::size_t i = 0; i < a.sampled.size(); ++i)
-      m.sampled[i] = {a.sampled[i].rank,
-                      {a.sampled[i].d.d_total + b.sampled[i].d.d_total,
-                       a.sampled[i].d.d_blocked + b.sampled[i].d.d_blocked}};
+  m.agg.d_total_sum = a.agg.d_total_sum + b.agg.d_total_sum;
+  m.agg.d_blocked_sum = a.agg.d_blocked_sum + b.agg.d_blocked_sum;
+  m.agg.active = std::max(a.agg.active, b.agg.active);
+  m.agg.stragglers = a.agg.stragglers + b.agg.stragglers;
+  // Weighted-average median: approximate but deterministic; the exact
+  // per-window medians are gone once their windows merge.
+  const double wa = static_cast<double>(a.merged);
+  const double wb = static_cast<double>(b.merged);
+  m.agg.median_busy =
+      (a.agg.median_busy * wa + b.agg.median_busy * wb) / (wa + wb);
+  if (b.agg.min_rank < 0 ||
+      (a.agg.min_rank >= 0 && a.agg.min_busy <= b.agg.min_busy)) {
+    m.agg.min_busy = a.agg.min_busy;
+    m.agg.min_rank = a.agg.min_rank;
+  } else {
+    m.agg.min_busy = b.agg.min_busy;
+    m.agg.min_rank = b.agg.min_rank;
   }
+  m.sampled.resize(a.sampled.size());
+  for (std::size_t i = 0; i < a.sampled.size(); ++i)
+    m.sampled[i] = {a.sampled[i].rank,
+                    {a.sampled[i].d.d_total + b.sampled[i].d.d_total,
+                     a.sampled[i].d.d_blocked + b.sampled[i].d.d_blocked}};
   // Combine by (family, rank): counters/histograms sum, gauges take the
   // later window's value (last-wins, matching the snapshot semantics).
-  // The rank half of the key is cast through uint32 so aggregate-mode
-  // negative shard pseudo-ranks stay distinct from sampled ranks.
+  // The rank half of the key is cast through uint32 so the remainder row's
+  // rank -1 stays distinct from sampled ranks.
   std::map<std::uint64_t, CellDelta> cells;
   auto key = [](const CellDelta& c) {
     return (static_cast<std::uint64_t>(c.family) << 32) |
@@ -250,56 +233,36 @@ void TimeSeries::set_residuals(std::vector<ResidualRow> rows) {
 
 std::vector<TimeSeries::Anomaly> TimeSeries::anomalies() const {
   std::vector<Anomaly> out;
+  const auto straggler = [&](std::size_t wi, int rank, double f,
+                              double median) {
+    Anomaly a;
+    a.window = static_cast<std::uint32_t>(wi);
+    a.kind = "straggler";
+    a.rank = rank;
+    a.value = f;
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "busy %.2f vs window median %.2f", f,
+                  median);
+    a.detail = buf;
+    out.push_back(std::move(a));
+  };
   for (std::size_t wi = 0; wi < windows_.size(); ++wi) {
     const Window& w = windows_[wi];
-    if (aggregate_) {
-      // Per-rank fractions are gone; report the window's worst rank, which
-      // snapshot() captured exactly.
-      if (w.agg.min_rank >= 0 &&
-          w.agg.min_busy < w.agg.median_busy - straggler_threshold_) {
-        Anomaly a;
-        a.window = static_cast<std::uint32_t>(wi);
-        a.kind = "straggler";
-        a.rank = w.agg.min_rank;
-        a.value = w.agg.min_busy;
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "busy %.2f vs window median %.2f",
-                      w.agg.min_busy, w.agg.median_busy);
-        a.detail = buf;
-        out.push_back(std::move(a));
-      }
-      continue;
+    if (w.agg.min_rank < 0) continue;  // fewer than two active ranks
+    // Sampled ranks below the window median by more than the threshold,
+    // plus the window's worst rank (captured exactly at snapshot time) when
+    // it is not sampled. At <= sample_ranks ranks this is every straggler.
+    const double cut = w.agg.median_busy - straggler_threshold_;
+    bool worst_seen = false;
+    for (const SampledRankDelta& s : w.sampled) {
+      if (s.d.d_total <= 0) continue;
+      const double f = static_cast<double>(s.d.d_total - s.d.d_blocked) /
+                       static_cast<double>(s.d.d_total);
+      worst_seen |= s.rank == w.agg.min_rank;
+      if (f < cut) straggler(wi, s.rank, f, w.agg.median_busy);
     }
-    // Busy fraction per rank over the window; ranks that saw no virtual
-    // time (already finished) are left out of the median.
-    std::vector<double> fracs;
-    fracs.reserve(w.ranks.size());
-    for (const RankDelta& r : w.ranks)
-      if (r.d_total > 0)
-        fracs.push_back(
-            static_cast<double>(r.d_total - r.d_blocked) /
-            static_cast<double>(r.d_total));
-    if (fracs.size() < 2) continue;
-    std::vector<double> sorted = fracs;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
-    std::size_t fi = 0;
-    for (std::size_t r = 0; r < w.ranks.size(); ++r) {
-      if (w.ranks[r].d_total <= 0) continue;
-      const double f = fracs[fi++];
-      if (f < median - straggler_threshold_) {
-        Anomaly a;
-        a.window = static_cast<std::uint32_t>(wi);
-        a.kind = "straggler";
-        a.rank = static_cast<int>(r);
-        a.value = f;
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      "busy %.2f vs window median %.2f", f, median);
-        a.detail = buf;
-        out.push_back(std::move(a));
-      }
-    }
+    if (!worst_seen && w.agg.min_busy < cut)
+      straggler(wi, w.agg.min_rank, w.agg.min_busy, w.agg.median_busy);
   }
   for (const ResidualRow& r : residuals_) {
     if (!r.flagged) continue;
@@ -328,14 +291,9 @@ std::string TimeSeries::to_json() const {
   w.kv("capacity", static_cast<std::uint64_t>(capacity_));
   w.kv("snapshots", snapshots_);
   w.kv("merges", merges_);
-  if (aggregate_) {
-    // Aggregate-mode extras; dense documents stay bit-identical to the
-    // pre-aggregate schema, so these only appear here.
-    w.kv("obs_mode", "aggregate");
-    w.key("sample_ranks").begin_array();
-    for (int r : reg_.sampled_ranks()) w.value(r);
-    w.end_array();
-  }
+  w.key("sample_ranks").begin_array();
+  for (int r : reg_.sampled_ranks()) w.value(r);
+  w.end_array();
   w.key("families").begin_array();
   for (const FamilyInfo& f : families_) {
     w.begin_object();
@@ -350,43 +308,29 @@ std::string TimeSeries::to_json() const {
     w.kv("t_begin_ps", static_cast<std::uint64_t>(win.t_begin));
     w.kv("t_end_ps", static_cast<std::uint64_t>(win.t_end));
     w.kv("merged", static_cast<std::uint64_t>(win.merged));
-    if (aggregate_) {
-      w.key("rank_agg").begin_object();
-      w.kv("total_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum));
-      w.kv("blocked_ps_sum",
-           static_cast<std::uint64_t>(win.agg.d_blocked_sum));
-      w.kv("busy_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum -
-                                                     win.agg.d_blocked_sum));
-      w.kv("active", static_cast<std::uint64_t>(win.agg.active));
-      w.kv("stragglers", static_cast<std::uint64_t>(win.agg.stragglers));
-      w.kv("median_busy", win.agg.median_busy);
-      w.kv("min_busy", win.agg.min_rank >= 0 ? win.agg.min_busy : 0.0);
-      w.kv("min_rank", static_cast<int>(win.agg.min_rank));
+    w.key("rank_agg").begin_object();
+    w.kv("total_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum));
+    w.kv("blocked_ps_sum",
+         static_cast<std::uint64_t>(win.agg.d_blocked_sum));
+    w.kv("busy_ps_sum", static_cast<std::uint64_t>(win.agg.d_total_sum -
+                                                   win.agg.d_blocked_sum));
+    w.kv("active", static_cast<std::uint64_t>(win.agg.active));
+    w.kv("stragglers", static_cast<std::uint64_t>(win.agg.stragglers));
+    w.kv("median_busy", win.agg.median_busy);
+    w.kv("min_busy", win.agg.min_rank >= 0 ? win.agg.min_busy : 0.0);
+    w.kv("min_rank", static_cast<int>(win.agg.min_rank));
+    w.end_object();
+    w.key("sampled_ranks").begin_array();
+    for (const SampledRankDelta& s : win.sampled) {
+      w.begin_object();
+      w.kv("rank", static_cast<int>(s.rank));
+      w.kv("total_ps", static_cast<std::uint64_t>(s.d.d_total));
+      w.kv("blocked_ps", static_cast<std::uint64_t>(s.d.d_blocked));
+      w.kv("busy_ps",
+           static_cast<std::uint64_t>(s.d.d_total - s.d.d_blocked));
       w.end_object();
-      w.key("sampled_ranks").begin_array();
-      for (const SampledRankDelta& s : win.sampled) {
-        w.begin_object();
-        w.kv("rank", static_cast<int>(s.rank));
-        w.kv("total_ps", static_cast<std::uint64_t>(s.d.d_total));
-        w.kv("blocked_ps", static_cast<std::uint64_t>(s.d.d_blocked));
-        w.kv("busy_ps",
-             static_cast<std::uint64_t>(s.d.d_total - s.d.d_blocked));
-        w.end_object();
-      }
-      w.end_array();
-    } else {
-      w.key("ranks").begin_array();
-      for (std::size_t r = 0; r < win.ranks.size(); ++r) {
-        const RankDelta& d = win.ranks[r];
-        w.begin_object();
-        w.kv("rank", static_cast<int>(r));
-        w.kv("total_ps", static_cast<std::uint64_t>(d.d_total));
-        w.kv("blocked_ps", static_cast<std::uint64_t>(d.d_blocked));
-        w.kv("busy_ps", static_cast<std::uint64_t>(d.d_total - d.d_blocked));
-        w.end_object();
-      }
-      w.end_array();
     }
+    w.end_array();
     w.key("cells").begin_array();
     for (const CellDelta& c : win.cells) {
       w.begin_object();

@@ -2,25 +2,25 @@
 // metric, with geometric downsampling and online anomaly monitors
 // (DESIGN.md §12).
 //
-// End-of-run dumps (narma.metrics.v1, narma.msgtrace.v1) answer "what
+// End-of-run dumps (narma.metrics.v2, narma.msgtrace.v1) answer "what
 // happened in total"; the flight recorder answers "when". On a configurable
 // virtual-time cadence the engine's scheduler loop invokes the recorder's
 // time probe (Engine::set_time_probe) *between* dispatches, and the
-// recorder captures the delta of every (family, rank) metric cell since the
+// recorder captures the delta of every (family, row) metric cell since the
 // previous boundary into a bounded ring of windows:
 //
 //   counter    delta of the count
 //   gauge      value and high-water at the boundary (last-wins on merge)
 //   histogram  delta of (count, sum)
 //
-// plus each rank's busy/blocked virtual-time split. Only changed cells are
+// plus the ranks' busy/blocked virtual-time split. Only changed cells are
 // stored, so quiet windows are near-free. When the ring reaches capacity,
 // the *oldest half* is merged pairwise — counters and histograms sum,
 // gauges keep the later value, spans concatenate — halving its resolution
 // while leaving the recent past at full cadence. Memory therefore stays
 // O(capacity) for arbitrarily long runs, and every merge preserves the
 // invariant the tests and CI assert: summing any counter/histogram family
-// across all windows telescopes exactly to its end-of-run narma.metrics.v1
+// across all windows telescopes exactly to its end-of-run narma.metrics.v2
 // total (World::run finalizes the recorder *after* the post-run metric
 // accounting precisely so this holds).
 //
@@ -43,14 +43,14 @@
 // anomaly Journal is attached (set_journal), each window's worst straggler
 // is also appended there as a typed record.
 //
-// Aggregate observability mode (DESIGN.md §14): windows store one RankAgg
-// summary (sums, active count, busy-fraction median/min, straggler count)
-// plus exact deltas for the registry's sampled ranks instead of an
-// O(nranks) RankDelta vector, and cell deltas are keyed by the registry's
-// aggregate rows (shard cells carry negative pseudo-ranks). Telescoping
-// still holds exactly: summing a counter/histogram family's deltas over
-// every row and window equals its narma.metrics.v2 aggregate total. Dense
-// mode output is bit-identical to before this mode existed.
+// Rank rows follow the registry's sample (DESIGN.md §14): each window stores
+// one RankAgg summary over every rank (sums, active count, busy-fraction
+// median/min, straggler count) plus exact deltas for the sampled ranks —
+// every rank when nranks <= ObsParams::sample_ranks. Cell deltas are keyed
+// by the registry's visit() rows: one per sampled rank plus one remainder
+// row (rank -1) folding the unsampled ranks, so summing a counter/histogram
+// family's deltas over every row and window still telescopes exactly to
+// its narma.metrics.v2 aggregate total.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +81,7 @@ class TimeSeries {
   /// One changed metric cell. Meaning of (a, b) by family kind:
   /// counter: (delta count, 0); gauge: (level, high_water) at the window
   /// end (int64 bit-cast); histogram: (delta count, delta sum). `rank` is
-  /// negative (-1 - shard) for aggregate-mode shard cells.
+  /// -1 for the registry's remainder row (every unsampled rank).
   struct CellDelta {
     std::uint32_t family = 0;
     std::int32_t rank = 0;
@@ -89,8 +89,7 @@ class TimeSeries {
     std::uint64_t b = 0;
   };
 
-  /// Aggregate-mode per-window rank summary: what survives when the
-  /// O(nranks) RankDelta vector is folded down. median/min are computed at
+  /// Per-window summary over every rank. median/min are computed at
   /// snapshot time; merged windows carry a merged-count-weighted average
   /// median (documented approximation — sums and counts stay exact).
   struct RankAgg {
@@ -103,7 +102,7 @@ class TimeSeries {
     std::int32_t min_rank = -1;    // rank with the lowest busy fraction
   };
 
-  /// Aggregate-mode exact delta for one sampled rank.
+  /// Exact delta for one sampled rank.
   struct SampledRankDelta {
     std::int32_t rank = 0;
     RankDelta d;
@@ -113,9 +112,8 @@ class TimeSeries {
     Time t_begin = 0;
     Time t_end = 0;
     std::uint32_t merged = 1;  // raw snapshots folded into this window
-    std::vector<RankDelta> ranks;           // dense mode only
-    RankAgg agg;                            // aggregate mode only
-    std::vector<SampledRankDelta> sampled;  // aggregate mode only
+    RankAgg agg;
+    std::vector<SampledRankDelta> sampled;  // registry sample, ascending
     std::vector<CellDelta> cells;
   };
 
@@ -203,7 +201,6 @@ class TimeSeries {
   Time window_ps_;
   std::size_t capacity_;
   double straggler_threshold_;
-  bool aggregate_ = false;
   Journal* journal_ = nullptr;
 
   Time last_boundary_ = 0;

@@ -34,12 +34,13 @@ inline std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Registry-layout override for the observability property tests. kNone
-/// leaves the seeded draw alone (the golden-hash configuration); the other
-/// two force metrics on and pin the layout, *after* the draw — the RNG
-/// consumes the same values in all three variants, so every virtual time
-/// is identical and dense vs aggregate runs of one seed hash equal.
-enum class ObsOverride { kNone, kDense, kAggregate };
+/// Registry rank-sample override for the observability property tests.
+/// kNone leaves the seeded draw alone (the golden-hash configuration); the
+/// other two force metrics on and pin the sample, *after* the draw — the
+/// RNG consumes the same values in all three variants, so every virtual
+/// time is identical and full- vs partial-sample runs of one seed hash
+/// equal.
+enum class ObsOverride { kNone, kFullSample, kPartialSample };
 
 /// One randomized schedule: ranks 1..n-1 produce notified accesses into
 /// rank 0's window; rank 0 consumes them all with a wildcard counting
@@ -64,14 +65,12 @@ inline std::uint64_t schedule_hash_with(std::uint64_t seed, ObsOverride ov,
   wp.enable_metrics = rng.next_below(2) != 0;
   if (ov != ObsOverride::kNone) {
     wp.enable_metrics = true;
-    wp.obs.obs_mode = ov == ObsOverride::kAggregate ? obs::ObsMode::kAggregate
-                                                    : obs::ObsMode::kDense;
-    // Shards below the largest drawn rank count and a short sample stride
-    // so both the sharded and the exact-sampled paths are exercised even
-    // at 2..5 ranks.
-    wp.obs.obs_shards = 2;
-    wp.obs.sample_ranks = 2;
-    wp.obs.outlier_k = 3;
+    // The default sample covers all 2..5 ranks; two sampled ranks leave the
+    // rest to the remainder histogram, so both paths are exercised.
+    if (ov == ObsOverride::kPartialSample) {
+      wp.obs.sample_ranks = 2;
+      wp.obs.outlier_k = 3;
+    }
   }
 
   // Per-producer op plans, drawn up front so rank threads never share RNG

@@ -11,6 +11,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/time.hpp"
+#include "core/world.hpp"
 
 using namespace narma;
 
@@ -131,15 +132,83 @@ TEST(TimeUnits, Conversions) {
 
 TEST(Env, ParsesAndFallsBack) {
   ::setenv("NARMA_TEST_INT", "42", 1);
-  ::setenv("NARMA_TEST_BAD", "xyz", 1);
   ::setenv("NARMA_TEST_DBL", "2.5", 1);
   ::setenv("NARMA_TEST_BOOL", "true", 1);
+  ::setenv("NARMA_TEST_CHOICE", "ramc", 1);
+  ::setenv("NARMA_TEST_EMPTY", "", 1);
   EXPECT_EQ(env::get_int("NARMA_TEST_INT", 7), 42);
-  EXPECT_EQ(env::get_int("NARMA_TEST_BAD", 7), 7);
   EXPECT_EQ(env::get_int("NARMA_TEST_MISSING", 7), 7);
+  EXPECT_EQ(env::get_int("NARMA_TEST_EMPTY", 7), 7);
   EXPECT_DOUBLE_EQ(env::get_double("NARMA_TEST_DBL", 0.0), 2.5);
   EXPECT_TRUE(env::get_bool("NARMA_TEST_BOOL", false));
   EXPECT_EQ(env::get_string("NARMA_TEST_MISSING", "d"), "d");
+  EXPECT_EQ(env::get_choice("NARMA_TEST_CHOICE", {"aries", "ramc"}), "ramc");
+  EXPECT_EQ(env::get_choice("NARMA_TEST_MISSING", {"aries", "ramc"}), "");
+}
+
+// A set value outside the accepted forms is fatal and names the variable,
+// the value, and the forms — never a silent fallback. The variable is set
+// inside the death statement, so only the forked child sees it.
+TEST(Env, MalformedValuesAreFatal) {
+  EXPECT_DEATH(
+      {
+        ::setenv("NARMA_TEST_BAD", "xyz", 1);
+        env::get_int("NARMA_TEST_BAD", 7);
+      },
+      "NARMA_TEST_BAD=\"xyz\"; accepted: a base-10 integer");
+  EXPECT_DEATH(
+      {
+        ::setenv("NARMA_FAULT_DROP", "0.05x", 1);
+        env::get_double("NARMA_FAULT_DROP", 0.0);
+      },
+      "NARMA_FAULT_DROP=\"0.05x\"; accepted: a decimal number");
+  EXPECT_DEATH(
+      {
+        ::setenv("NARMA_FT", "maybe", 1);
+        env::get_bool("NARMA_FT", false);
+      },
+      "NARMA_FT=\"maybe\"; accepted: 1.true.yes.on or 0.false.no.off");
+  EXPECT_DEATH(
+      {
+        ::setenv("NARMA_TEST_CHOICE", "shm", 1);
+        env::get_choice("NARMA_TEST_CHOICE", {"aries", "ramc"});
+      },
+      "NARMA_TEST_CHOICE=\"shm\"; accepted: aries.ramc");
+}
+
+// Every enum-valued World knob rejects unknown strings, and every numeric
+// one malformed numbers, at World construction.
+TEST(Env, WorldRejectsMalformedKnobs) {
+  const auto world_with = [](const char* name, const char* value) {
+    ::setenv(name, value, 1);
+    World w(2);
+  };
+  EXPECT_DEATH(world_with("NARMA_TRANSPORT", "shm"),
+               "NARMA_TRANSPORT=\"shm\"; accepted: aries.ramc.verbs");
+  EXPECT_DEATH(world_with("NARMA_EVENT_QUEUE", "heap"),
+               "NARMA_EVENT_QUEUE=\"heap\"; accepted: legacy.calendar");
+  EXPECT_DEATH(world_with("NARMA_EXEC", "procs"),
+               "NARMA_EXEC=\"procs\"; accepted: threads.fibers");
+  EXPECT_DEATH(world_with("NARMA_OVERFLOW", "drop"),
+               "NARMA_OVERFLOW=\"drop\"; accepted: fatal.backpressure");
+  EXPECT_DEATH(world_with("NARMA_FAULT_DROP", "0.05x"),
+               "NARMA_FAULT_DROP=\"0.05x\"");
+  EXPECT_DEATH(world_with("NARMA_OBS_SAMPLE_RANKS", "many"),
+               "NARMA_OBS_SAMPLE_RANKS=\"many\"");
+}
+
+// Values in the accepted forms still configure the World as before.
+TEST(Env, WorldAcceptsWellFormedKnobs) {
+  ::setenv("NARMA_TRANSPORT", "verbs", 1);
+  ::setenv("NARMA_FAULT_DROP", "0.25", 1);
+  ::setenv("NARMA_OBS_SAMPLE_RANKS", "3", 1);
+  World w(2);
+  ::unsetenv("NARMA_TRANSPORT");
+  ::unsetenv("NARMA_FAULT_DROP");
+  ::unsetenv("NARMA_OBS_SAMPLE_RANKS");
+  EXPECT_EQ(w.params().fabric.inter_node, net::BackendKind::kVerbs);
+  EXPECT_DOUBLE_EQ(w.params().fabric.faults.drop_rate, 0.25);
+  EXPECT_EQ(w.params().obs.sample_ranks, 3);
 }
 
 TEST(Table, RendersAlignedColumns) {

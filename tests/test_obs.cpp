@@ -1,5 +1,5 @@
 // Tests of the unified metrics layer: registry/handle semantics, the stable
-// narma.metrics.v1 JSON schema, the gauge -> tracer counter-track bridge,
+// narma.metrics.v2 JSON schema, the gauge -> tracer counter-track bridge,
 // and the fully disabled path (WorldParams::enable_metrics = false).
 #include <gtest/gtest.h>
 
@@ -47,7 +47,7 @@ TEST(ObsRegistry, CounterGaugeHistogramSemantics) {
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
   EXPECT_EQ(reg.counter_value("t.events", 0), 42u);
-  EXPECT_EQ(reg.counter_value("t.events", 1), 0u);  // per-rank cells
+  EXPECT_EQ(reg.counter_value("t.events", 1), 0u);  // per-rank totals
 
   obs::Gauge g = reg.gauge("t.depth", 1);
   g.set(5, ns(10));
@@ -72,7 +72,7 @@ TEST(ObsRegistry, CounterGaugeHistogramSemantics) {
   EXPECT_EQ(d->buckets[1], 1u);  // 1
   EXPECT_EQ(d->buckets[3], 1u);  // 6
 
-  // Re-fetching a family yields the same cell; re-registering with another
+  // Re-fetching a family yields the same slot; re-registering with another
   // kind is a fatal misuse.
   reg.counter("t.events", 0).inc();
   EXPECT_EQ(reg.counter_value("t.events", 0), 43u);
@@ -103,21 +103,25 @@ TEST(ObsRegistry, JsonIsParseableAndSchemaStable) {
 
   const json::ParseResult doc = json::parse(reg.to_json());
   ASSERT_TRUE(doc.ok) << doc.error;
-  EXPECT_EQ(doc.value.string_or("schema", ""), "narma.metrics.v1");
+  EXPECT_EQ(doc.value.string_or("schema", ""), "narma.metrics.v2");
   EXPECT_EQ(doc.value.number_or("nranks", 0), 2.0);
 
   const json::Array& metrics = doc.value["metrics"].as_array();
   ASSERT_EQ(metrics.size(), 3u);  // lexicographic family order
   EXPECT_EQ(metrics[0].string_or("name", ""), "a.count");
   EXPECT_EQ(metrics[0].string_or("kind", ""), "counter");
-  EXPECT_EQ(metrics[0]["per_rank"][0].number_or("value", -1), 3.0);
+  EXPECT_EQ(metrics[0]["sampled"][0].number_or("value", -1), 3.0);
+  EXPECT_EQ(metrics[0]["aggregate"].number_or("sum", -1), 3.0);
+  EXPECT_EQ(metrics[0]["outliers"][0].number_or("rank", -1), 0.0);
 
   EXPECT_EQ(metrics[1].string_or("kind", ""), "gauge");
-  EXPECT_EQ(metrics[1]["per_rank"][1].number_or("value", -1), 4.0);
-  EXPECT_EQ(metrics[1]["per_rank"][1].number_or("high_water", -1), 9.0);
+  EXPECT_EQ(metrics[1]["sampled"][1].number_or("value", -1), 4.0);
+  EXPECT_EQ(metrics[1]["sampled"][1].number_or("high_water", -1), 9.0);
+  EXPECT_EQ(metrics[1]["aggregate"].number_or("last", -1), 4.0);
+  EXPECT_EQ(metrics[1]["aggregate"].number_or("high_water", -1), 9.0);
 
   EXPECT_EQ(metrics[2].string_or("kind", ""), "histogram");
-  const json::Value& h0 = metrics[2]["per_rank"][0];
+  const json::Value& h0 = metrics[2]["sampled"][0];
   EXPECT_EQ(h0.number_or("count", -1), 1.0);
   EXPECT_EQ(h0.number_or("sum", -1), 6.0);
   const json::Value& bucket = h0["buckets"][0];
@@ -162,7 +166,7 @@ TEST(ObsRegistry, JsonCarriesHistogramPercentiles) {
   for (int i = 0; i < 32; ++i) h.record(100);
   const json::ParseResult doc = json::parse(reg.to_json());
   ASSERT_TRUE(doc.ok) << doc.error;
-  const json::Value& cell = doc.value["metrics"][0]["per_rank"][0];
+  const json::Value& cell = doc.value["metrics"][0]["sampled"][0];
   EXPECT_EQ(cell.number_or("p50", -1), 100.0);
   EXPECT_EQ(cell.number_or("p90", -1), 100.0);
   EXPECT_EQ(cell.number_or("p99", -1), 100.0);
@@ -181,6 +185,23 @@ TEST(ObsRegistry, GaugeChangesMirrorToTracerCounterTrack) {
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("q.depth (rank 1)"), std::string::npos);
   EXPECT_NE(json.find("\"value\":7"), std::string::npos);
+}
+
+// Only sampled ranks mirror gauge changes, which caps the track count at
+// scale.
+TEST(ObsRegistry, OnlySampledRanksMirrorToTracer) {
+  sim::Tracer tracer(4);
+  obs::ObsParams p;
+  p.sample_ranks = 2;  // ranks 0 and 2
+  obs::Registry reg(4, p);
+  reg.set_tracer(&tracer);
+  for (int r = 0; r < 4; ++r) reg.gauge("q.depth", r).set(r + 1, us(1));
+  EXPECT_EQ(tracer.event_count(), 2u);
+  const std::string json = tracer.to_json();
+  EXPECT_NE(json.find("q.depth (rank 2)"), std::string::npos);
+  EXPECT_EQ(json.find("q.depth (rank 1)"), std::string::npos);
+  // Unsampled gauges stay exact all the same.
+  EXPECT_EQ(reg.gauge_value("q.depth", 3), 4);
 }
 
 TEST(ObsWorld, RunPopulatesLayerMetricsAndDump) {
@@ -213,7 +234,7 @@ TEST(ObsWorld, RunPopulatesLayerMetricsAndDump) {
   const json::ParseResult doc = json::parse_file(path);
   std::remove(path.c_str());
   ASSERT_TRUE(doc.ok) << doc.error;
-  EXPECT_EQ(doc.value.string_or("schema", ""), "narma.metrics.v1");
+  EXPECT_EQ(doc.value.string_or("schema", ""), "narma.metrics.v2");
   EXPECT_EQ(doc.value.number_or("nranks", 0), 2.0);
   std::set<std::string> names;
   for (const json::Value& fam : doc.value["metrics"].as_array())
@@ -255,9 +276,9 @@ TEST(ObsWorld, DumpRoundTripsAgainstLiveRegistry) {
     dumped.insert(name);
     ASSERT_TRUE(reg.has(name)) << "dump invented metric " << name;
     const std::string kind = m.string_or("kind", "");
-    const json::Array& per_rank = m["per_rank"].as_array();
-    ASSERT_EQ(per_rank.size(), 2u) << name;
-    for (const json::Value& cell : per_rank) {
+    const json::Array& sampled = m["sampled"].as_array();
+    ASSERT_EQ(sampled.size(), 2u) << name;  // 2 ranks: all sampled
+    for (const json::Value& cell : sampled) {
       const int rank = static_cast<int>(cell.number_or("rank", -1));
       if (kind == "counter") {
         EXPECT_EQ(cell.number_or("value", -1),

@@ -127,8 +127,10 @@ TEST(TimeSeries, WindowDeltasTelescopeToFinalTotals) {
   for (int r = 0; r < 4; ++r) {
     Time total = 0, blocked = 0;
     for (const auto& w : ts.windows()) {
-      total += w.ranks[static_cast<std::size_t>(r)].d_total;
-      blocked += w.ranks[static_cast<std::size_t>(r)].d_blocked;
+      ASSERT_EQ(w.sampled.size(), 4u);  // 4 ranks: every rank is sampled
+      EXPECT_EQ(w.sampled[static_cast<std::size_t>(r)].rank, r);
+      total += w.sampled[static_cast<std::size_t>(r)].d.d_total;
+      blocked += w.sampled[static_cast<std::size_t>(r)].d.d_blocked;
     }
     EXPECT_EQ(total, world.engine().rank(r).now()) << "rank " << r;
     EXPECT_EQ(blocked, world.engine().rank(r).blocked_time()) << "rank " << r;

@@ -94,7 +94,7 @@ int usage() {
       "            breakdown, per-rank share, slowest messages, per-\n"
       "            category latency statistics\n"
       "  diff      <a.json> <b.json> [--top=N]\n"
-      "            compare two metrics dumps (narma.metrics.v1 or .v2):\n"
+      "            compare two metrics dumps (narma.metrics.v2):\n"
       "            per-family reduced values, absolute + relative deltas,\n"
       "            top regressions, families added/removed\n"
       "\n"
@@ -111,12 +111,10 @@ int usage() {
       "                               in the metrics dump as obs.phase_*\n"
       "            [--journal=FILE]   write the anomaly journal\n"
       "                               (narma.journal.v1)\n"
-      "            [--obs=dense|aggregate]  registry layout (NARMA_OBS);\n"
-      "                               aggregate = O(shards) cells per family\n"
-      "                               + top-k outliers + sampled ranks\n"
-      "            [--obs-shards=N] [--obs-outlier-k=N]\n"
-      "            [--obs-sample-ranks=N] [--obs-gauge-rank-limit=N]\n"
-      "            [--journal-cap=N]  aggregate-mode / journal knobs\n"
+      "            [--obs-outlier-k=N]  outlier ranks per family (default 8)\n"
+      "            [--obs-sample-ranks=N]  ranks keeping per-rank histograms\n"
+      "                               and dump rows (default 64)\n"
+      "            [--journal-cap=N]  anomaly-journal capacity\n"
       "\n"
       "fault tolerance (stencil + tree, NotifiedAccess variant only):\n"
       "            [--ft]                   run through the recovery manager\n"
@@ -149,26 +147,14 @@ void apply_transport(WorldParams& wp, const Args& a) {
     NARMA_FATAL("unknown --transport value") << " \"" << t << '"';
 }
 
-/// Applies the aggregate-observability flags. Mirrors the NARMA_OBS* env
-/// knobs; a set env var still wins (resolve_params reads env last), so
-/// sweeps driven by either mechanism behave the same.
+/// Applies the observability flags. Mirrors the NARMA_OBS_* env knobs; a
+/// set env var still wins (resolve_params reads env last), so sweeps driven
+/// by either mechanism behave the same.
 void apply_obs_params(WorldParams& wp, const Args& a) {
-  const std::string mode = a.get("obs", "");
-  if (mode == "dense")
-    wp.obs.obs_mode = obs::ObsMode::kDense;
-  else if (mode == "aggregate")
-    wp.obs.obs_mode = obs::ObsMode::kAggregate;
-  else if (!mode.empty())
-    NARMA_FATAL("unknown --obs value") << " \"" << mode << '"';
-  if (a.kv.count("obs-shards"))
-    wp.obs.obs_shards = static_cast<int>(a.get("obs-shards", 0));
   if (a.kv.count("obs-outlier-k"))
     wp.obs.outlier_k = static_cast<int>(a.get("obs-outlier-k", 0));
   if (a.kv.count("obs-sample-ranks"))
     wp.obs.sample_ranks = static_cast<int>(a.get("obs-sample-ranks", 0));
-  if (a.kv.count("obs-gauge-rank-limit"))
-    wp.obs.perfetto_gauge_rank_limit =
-        static_cast<int>(a.get("obs-gauge-rank-limit", 0));
   if (a.kv.count("journal-cap"))
     wp.obs.journal_capacity =
         static_cast<std::size_t>(std::max(0L, a.get("journal-cap", 0)));
@@ -248,25 +234,30 @@ void dump_artifacts(World& world, const Args& a) {
 
 // --- report ------------------------------------------------------------------
 
-/// Prints the obs self-cost line shared by both schema paths: the registry
-/// footprint gauge plus the journal depth, when the run recorded them.
-void print_obs_footprint(double registry_bytes, double journal_depth) {
-  if (registry_bytes <= 0 && journal_depth <= 0) return;
-  std::printf("\nobs self-cost: registry ~%.1f KiB, journal depth %lld\n",
-              registry_bytes / 1024.0,
-              static_cast<long long>(journal_depth));
-}
-
-/// Aggregate-mode (narma.metrics.v2) sections of `report`: whole-family
-/// reductions per kind, top-k outlier ranks, and the sampled-rank busy
-/// table that replaces the dense per-rank one.
-int report_metrics_v2(const json::Value& doc, const std::string& path) {
+/// Metrics-dump sections of `report` (narma.metrics.v2): whole-family
+/// reductions per kind, top-k outlier ranks, per-rank busy fractions of
+/// the sampled ranks, host-time phase attribution (from --profile runs),
+/// per-backend notification and drain-cost rows, and the obs self-cost.
+int report_metrics(const Args& a) {
+  const std::string path = a.get("metrics", "metrics.json");
+  const json::ParseResult m = json::parse_file(path);
+  if (!m.ok) {
+    std::fprintf(stderr, "report: %s: %s (offset %zu)\n", path.c_str(),
+                 m.error.c_str(), m.error_pos);
+    return 1;
+  }
+  const json::Value& doc = m.value;
+  const std::string schema = doc.string_or("schema", "");
+  if (schema != "narma.metrics.v2") {
+    std::fprintf(stderr, "report: %s: unknown metrics schema '%s'\n",
+                 path.c_str(), schema.c_str());
+    return 1;
+  }
   const json::Array& fams = doc["metrics"].as_array();
   std::printf(
-      "\naggregate metrics %s: %d ranks, %d shards, %zu sampled ranks, "
-      "outlier_k=%lld, %zu families\n",
+      "\nmetrics %s: %d ranks, %zu sampled ranks, outlier_k=%lld, "
+      "%zu families\n",
       path.c_str(), static_cast<int>(doc.number_or("nranks", 0)),
-      static_cast<int>(doc.number_or("shards", 0)),
       doc["sample_ranks"].as_array().size(),
       static_cast<long long>(doc.number_or("outlier_k", 0)), fams.size());
 
@@ -276,12 +267,15 @@ int report_metrics_v2(const json::Value& doc, const std::string& path) {
       if (fam.string_or("name", "") == name) return fam;
     return kNull;
   };
+  auto aggregate = [&](const std::string& name, const char* field) {
+    return find_fam(name)["aggregate"].number_or(field, 0);
+  };
 
-  // Whole-family reductions, one table per kind. These are exact — shard
-  // cells plus sampled cells partition every update (see obs/metrics.hpp).
+  // Whole-family reductions, one table per kind; all exact.
   Table c_table({"counter", "sum", "active_ranks", "max_rank_total"});
   Table g_table({"gauge", "last", "high_water"});
-  Table h_table({"histogram", "count", "p50", "p90", "p99", "max"});
+  Table h_table({"histogram", "count", "p50", "p90", "p99", "max",
+                 "busiest_rank", "busiest_p99"});
   bool any_c = false, any_g = false, any_h = false;
   for (const json::Value& fam : fams) {
     const std::string kind = fam.string_or("kind", "");
@@ -299,14 +293,23 @@ int report_metrics_v2(const json::Value& doc, const std::string& path) {
           {fam.string_or("name", "?"),
            Table::fmt(static_cast<long long>(ag.number_or("last", 0))),
            Table::fmt(static_cast<long long>(ag.number_or("high_water", 0)))});
-    } else if (kind == "histogram") {
+    } else if (kind == "histogram" && ag.number_or("count", 0) > 0) {
       any_h = true;
+      // The busiest sampled rank (highest count) gives the typical
+      // per-rank tail next to the merged family percentiles.
+      const json::Value* top = nullptr;
+      for (const json::Value& cell : fam["sampled"].as_array())
+        if (!top || cell.number_or("count", 0) > top->number_or("count", 0))
+          top = &cell;
       h_table.add_row(
           {fam.string_or("name", "?"),
            Table::fmt(static_cast<long long>(ag.number_or("count", 0))),
            Table::fmt(ag.number_or("p50", 0)), Table::fmt(ag.number_or("p90", 0)),
            Table::fmt(ag.number_or("p99", 0)),
-           Table::fmt(static_cast<long long>(ag.number_or("max", 0)))});
+           Table::fmt(static_cast<long long>(ag.number_or("max", 0))),
+           top ? Table::fmt(static_cast<long long>(top->number_or("rank", -1)))
+               : "-",
+           top ? Table::fmt(top->number_or("p99", 0)) : "-"});
     }
   }
   if (any_c) {
@@ -314,11 +317,11 @@ int report_metrics_v2(const json::Value& doc, const std::string& path) {
     c_table.print();
   }
   if (any_g) {
-    std::printf("\ngauges (last-wins / global high-water):\n");
+    std::printf("\ngauges (latest set / global high-water):\n");
     g_table.print();
   }
   if (any_h) {
-    std::printf("\nhistograms (merged buckets):\n");
+    std::printf("\nhistogram percentiles (merged buckets):\n");
     h_table.print();
   }
 
@@ -340,105 +343,39 @@ int report_metrics_v2(const json::Value& doc, const std::string& path) {
       o_table.add_row({fam.string_or("name", "?"), cells});
     }
     if (any) {
-      std::printf("\noutlier retention (top-k ranks by running max):\n");
+      std::printf("\noutliers (top-k ranks by total / high-water / max):\n");
       o_table.print();
     }
   }
 
-  // Sampled-rank busy fractions: the aggregate-mode stand-in for the dense
-  // per-rank table, built from the exact cells of the sample reservoir.
-  {
-    const json::Value& busy = find_fam("sim.busy_ns")["sampled"];
-    const json::Value& blocked = find_fam("sim.blocked_ns")["sampled"];
-    const json::Value& total = find_fam("sim.total_ns")["sampled"];
-    if (busy.is_array() && total.is_array() &&
-        busy.as_array().size() == total.as_array().size()) {
-      Table busy_table(
-          {"rank", "busy_ms", "blocked_ms", "total_ms", "busy_frac"});
-      const json::Array& ba = busy.as_array();
-      const json::Array& ta = total.as_array();
-      for (std::size_t i = 0; i < ba.size(); ++i) {
-        const double b = ba[i].number_or("value", 0);
-        const double w = blocked.is_array() && i < blocked.as_array().size()
-                             ? blocked.as_array()[i].number_or("value", 0)
-                             : 0.0;
-        const double t = ta[i].number_or("value", 0);
-        busy_table.add_row(
-            {Table::fmt(static_cast<long long>(ba[i].number_or("rank", -1))),
-             Table::fmt(b / 1e6), Table::fmt(w / 1e6), Table::fmt(t / 1e6),
-             Table::fmt(t > 0 ? b / t : 0.0)});
-      }
-      std::printf("\nsampled-rank busy fraction:\n");
-      busy_table.print();
+  // Per-rank busy fractions from the sim.* gauges of the sampled ranks
+  // (every rank when nranks <= sample_ranks).
+  const json::Array& busy = find_fam("sim.busy_ns")["sampled"].as_array();
+  const json::Array& blocked =
+      find_fam("sim.blocked_ns")["sampled"].as_array();
+  const json::Array& total = find_fam("sim.total_ns")["sampled"].as_array();
+  if (!busy.empty() && busy.size() == total.size()) {
+    Table busy_table(
+        {"rank", "busy_ms", "blocked_ms", "total_ms", "busy_frac"});
+    for (std::size_t i = 0; i < busy.size(); ++i) {
+      const double b = busy[i].number_or("value", 0);
+      const double w = i < blocked.size() ? blocked[i].number_or("value", 0)
+                                          : 0.0;
+      const double t = total[i].number_or("value", 0);
+      busy_table.add_row(
+          {Table::fmt(static_cast<long long>(busy[i].number_or("rank", -1))),
+           Table::fmt(b / 1e6), Table::fmt(w / 1e6), Table::fmt(t / 1e6),
+           Table::fmt(t > 0 ? b / t : 0.0)});
     }
+    std::printf("\nper-rank busy fraction (sampled ranks, from %s):\n",
+                path.c_str());
+    busy_table.print();
   }
 
-  print_obs_footprint(
-      find_fam("obs.registry_bytes")["aggregate"].number_or("high_water", 0),
-      find_fam("obs.journal_depth")["aggregate"].number_or("high_water", 0));
-  return 0;
-}
-
-/// Metrics-dump sections of `report`: per-rank busy fractions, host-time
-/// phase attribution (from --profile runs), per-backend notification and
-/// drain-cost rows, and interpolated histogram percentiles.
-int report_metrics(const Args& a) {
-  const std::string metrics_path = a.get("metrics", "metrics.json");
-  const json::ParseResult m = json::parse_file(metrics_path);
-  if (!m.ok) {
-    std::fprintf(stderr, "report: %s: %s (offset %zu)\n", metrics_path.c_str(),
-                 m.error.c_str(), m.error_pos);
-    return 1;
-  }
-  const std::string schema = m.value.string_or("schema", "");
-  if (schema == "narma.metrics.v2")
-    return report_metrics_v2(m.value, metrics_path);
-  if (schema != "narma.metrics.v1") {
-    std::fprintf(stderr, "report: %s: unknown metrics schema '%s'\n",
-                 metrics_path.c_str(), schema.c_str());
-    return 1;
-  }
-  const int nranks = static_cast<int>(m.value.number_or("nranks", 0));
-  const json::Array& fams = m.value["metrics"].as_array();
-  auto per_rank_of = [&](const std::string& name) -> const json::Value& {
-    static const json::Value kNull;
-    for (const json::Value& fam : fams)
-      if (fam.string_or("name", "") == name) return fam["per_rank"];
-    return kNull;
-  };
-  auto rank0_value = [&](const std::string& name) -> double {
-    const json::Value& pr = per_rank_of(name);
-    return pr.is_array() && !pr.as_array().empty()
-               ? pr.as_array()[0].number_or("value", 0)
-               : 0.0;
-  };
-
-  // Per-rank busy fractions from the sim.* gauges.
-  const json::Value& busy = per_rank_of("sim.busy_ns");
-  const json::Value& blocked = per_rank_of("sim.blocked_ns");
-  const json::Value& total = per_rank_of("sim.total_ns");
-  if (!busy.is_array() || !total.is_array()) {
-    std::fprintf(stderr, "report: %s has no sim.busy_ns/sim.total_ns gauges\n",
-                 metrics_path.c_str());
-    return 1;
-  }
-  Table busy_table({"rank", "busy_ms", "blocked_ms", "total_ms", "busy_frac"});
-  for (int r = 0; r < nranks; ++r) {
-    const double b = busy[static_cast<std::size_t>(r)].number_or("value", 0);
-    const double w =
-        blocked[static_cast<std::size_t>(r)].number_or("value", 0);
-    const double t = total[static_cast<std::size_t>(r)].number_or("value", 0);
-    busy_table.add_row({Table::fmt(static_cast<long long>(r)),
-                        Table::fmt(b / 1e6), Table::fmt(w / 1e6),
-                        Table::fmt(t / 1e6), Table::fmt(t > 0 ? b / t : 0.0)});
-  }
-  std::printf("\nper-rank busy fraction (from %s):\n", metrics_path.c_str());
-  busy_table.print();
-
-  // Host-time phase attribution (--profile runs export obs.phase_* gauges).
-  // The matching/obs/plumbing split of real host wall-clock — the paper's
-  // simulator-cost question, answered from the dump alone.
-  const double prof_total = rank0_value("obs.profile_total_ns");
+  // Host-time phase attribution (--profile runs export obs.phase_* gauges
+  // at rank 0). The matching/obs/plumbing split of real host wall-clock —
+  // the paper's simulator-cost question, answered from the dump alone.
+  const double prof_total = aggregate("obs.profile_total_ns", "last");
   if (prof_total > 0) {
     static const char* kPhases[] = {"engine_pop", "callback",  "rank_exec",
                                     "match",      "transfer",  "app_compute",
@@ -447,23 +384,23 @@ int report_metrics(const Args& a) {
     double attributed = 0;
     for (const char* ph : kPhases) {
       const double ns_v =
-          rank0_value(std::string("obs.phase_") + ph + "_ns");
+          aggregate(std::string("obs.phase_") + ph + "_ns", "last");
       const double calls =
-          rank0_value(std::string("obs.phase_") + ph + "_calls");
+          aggregate(std::string("obs.phase_") + ph + "_calls", "last");
       attributed += ns_v;
       phase_table.add_row(
           {ph, Table::fmt(ns_v / 1e6),
            Table::fmt(static_cast<long long>(calls)),
            Table::fmt(100.0 * ns_v / prof_total, 1)});
     }
-    const double unattr = rank0_value("obs.profile_unattributed_ns");
+    const double unattr = aggregate("obs.profile_unattributed_ns", "last");
     phase_table.add_row({"(unattributed)", Table::fmt(unattr / 1e6), "-",
                          Table::fmt(100.0 * unattr / prof_total, 1)});
     phase_table.add_row({"(total)", Table::fmt(prof_total / 1e6), "-",
                          Table::fmt(100.0, 1)});
     std::printf("\nhost-time phase attribution:\n");
     phase_table.print();
-    const double obs_ns = rank0_value("obs.phase_obs_ns");
+    const double obs_ns = aggregate("obs.phase_obs_ns", "last");
     std::printf("attributed %.1f%% of host run; obs self-overhead %.2f%%\n",
                 100.0 * attributed / prof_total,
                 100.0 * obs_ns / prof_total);
@@ -477,18 +414,12 @@ int report_metrics(const Args& a) {
     Table be_table({"backend", "notifs", "drain_ms", "drain_ns/notif"});
     bool any = false;
     for (const char* be : kBackends) {
-      const json::Value& notifs =
-          per_rank_of(std::string("net.") + be + "_notifs");
-      if (!notifs.is_array()) continue;
+      const std::string notifs = std::string("net.") + be + "_notifs";
+      if (!find_fam(notifs).is_object()) continue;
       any = true;
-      double n = 0, drain_ps = 0;
-      for (const json::Value& cell : notifs.as_array())
-        n += cell.number_or("value", 0);
-      const json::Value& drain =
-          per_rank_of(std::string("net.") + be + "_drain_ps");
-      if (drain.is_array())
-        for (const json::Value& cell : drain.as_array())
-          drain_ps += cell.number_or("value", 0);
+      const double n = aggregate(notifs, "sum");
+      const double drain_ps =
+          aggregate(std::string("net.") + be + "_drain_ps", "sum");
       be_table.add_row({be, Table::fmt(static_cast<long long>(n)),
                         Table::fmt(drain_ps / 1e9),
                         Table::fmt(n > 0 ? drain_ps / 1e3 / n : 0.0)});
@@ -499,47 +430,14 @@ int report_metrics(const Args& a) {
     }
   }
 
-  // Histogram families: aggregate count plus the interpolated percentiles
-  // of the busiest rank (highest count), typical-value columns for sweeps.
-  {
-    Table h_table({"histogram", "count", "p50", "p90", "p99", "max"});
-    bool any = false;
-    for (const json::Value& fam : fams) {
-      if (fam.string_or("kind", "") != "histogram") continue;
-      const json::Value& pr = fam["per_rank"];
-      if (!pr.is_array()) continue;
-      double count = 0;
-      const json::Value* top = nullptr;
-      for (const json::Value& cell : pr.as_array()) {
-        count += cell.number_or("count", 0);
-        if (!top || cell.number_or("count", 0) > top->number_or("count", 0))
-          top = &cell;
-      }
-      if (!top || count == 0) continue;
-      any = true;
-      h_table.add_row({fam.string_or("name", "?"),
-                       Table::fmt(static_cast<long long>(count)),
-                       Table::fmt(top->number_or("p50", 0)),
-                       Table::fmt(top->number_or("p90", 0)),
-                       Table::fmt(top->number_or("p99", 0)),
-                       Table::fmt(top->number_or("max", 0))});
-    }
-    if (any) {
-      std::printf("\nhistogram percentiles (busiest rank):\n");
-      h_table.print();
-    }
-  }
-
-  // Obs self-cost gauges (rank 0 carries them in dense mode).
-  {
-    auto hw0 = [&](const std::string& name) -> double {
-      const json::Value& pr = per_rank_of(name);
-      return pr.is_array() && !pr.as_array().empty()
-                 ? pr.as_array()[0].number_or("high_water", 0)
-                 : 0.0;
-    };
-    print_obs_footprint(hw0("obs.registry_bytes"), hw0("obs.journal_depth"));
-  }
+  // Obs self-cost: the registry footprint gauge plus the journal depth,
+  // when the run recorded them.
+  const double registry_bytes = aggregate("obs.registry_bytes", "high_water");
+  const double journal_depth = aggregate("obs.journal_depth", "high_water");
+  if (registry_bytes > 0 || journal_depth > 0)
+    std::printf("\nobs self-cost: registry ~%.1f KiB, journal depth %lld\n",
+                registry_bytes / 1024.0,
+                static_cast<long long>(journal_depth));
   return 0;
 }
 
@@ -671,11 +569,9 @@ int run_report(const Args& a) {
 
 // --- diff --------------------------------------------------------------------
 
-/// One family of a metrics dump reduced to a single comparable number:
-/// counters to the whole-family sum, gauges to the global high-water,
-/// histograms to the total sample count. Both schemas reduce to the same
-/// quantity — v1 by folding per_rank, v2 by reading the aggregate section —
-/// so dense and aggregate dumps of the same run diff as equal.
+/// One family of a metrics dump reduced to a single comparable number, read
+/// from its aggregate section: counters to the whole-family sum, gauges to
+/// the global high-water, histograms to the total sample count.
 struct ReducedFamily {
   std::string kind;
   double value = 0;
@@ -685,31 +581,18 @@ bool reduce_metrics(const json::Value& doc,
                     std::map<std::string, ReducedFamily>& out,
                     std::string& err) {
   const std::string schema = doc.string_or("schema", "");
-  if (schema != "narma.metrics.v1" && schema != "narma.metrics.v2") {
+  if (schema != "narma.metrics.v2") {
     err = "unknown metrics schema '" + schema + "'";
     return false;
   }
-  const bool v2 = schema == "narma.metrics.v2";
   for (const json::Value& fam : doc["metrics"].as_array()) {
-    const std::string name = fam.string_or("name", "?");
     ReducedFamily red;
     red.kind = fam.string_or("kind", "?");
-    if (v2) {
-      const json::Value& ag = fam["aggregate"];
-      red.value = red.kind == "counter" ? ag.number_or("sum", 0)
-                  : red.kind == "gauge" ? ag.number_or("high_water", 0)
-                                        : ag.number_or("count", 0);
-    } else {
-      for (const json::Value& cell : fam["per_rank"].as_array()) {
-        if (red.kind == "counter")
-          red.value += cell.number_or("value", 0);
-        else if (red.kind == "gauge")
-          red.value = std::max(red.value, cell.number_or("high_water", 0));
-        else
-          red.value += cell.number_or("count", 0);
-      }
-    }
-    out[name] = std::move(red);
+    const json::Value& ag = fam["aggregate"];
+    red.value = red.kind == "counter" ? ag.number_or("sum", 0)
+                : red.kind == "gauge" ? ag.number_or("high_water", 0)
+                                      : ag.number_or("count", 0);
+    out[fam.string_or("name", "?")] = std::move(red);
   }
   return true;
 }
@@ -1047,65 +930,30 @@ int run_timeline(const Args& a) {
     std::printf("(showing the last %zu of %zu windows; older ones are "
                 "geometrically merged)\n",
                 topk, windows.size());
-  const bool aggregate =
-      doc.value.string_or("obs_mode", "dense") == "aggregate";
-  if (aggregate) {
-    // Aggregate recorder windows carry whole-run rank sums (rank_agg) and
-    // exact deltas only for the sampled ranks; the mean busy fraction is
-    // the time-weighted one (busy_ps_sum / total_ps_sum).
-    Table win_table({"window", "t_begin_us", "t_end_us", "merged", "cells",
-                     "active", "mean_busy", "min_busy", "laggard",
-                     "stragglers"});
-    for (std::size_t i = first_shown; i < windows.size(); ++i) {
-      const json::Value& win = windows[i];
-      const json::Value& ag = win["rank_agg"];
-      const double tot = ag.number_or("total_ps_sum", 0);
-      win_table.add_row(
-          {Table::fmt(static_cast<long long>(i)),
-           Table::fmt(win.number_or("t_begin_ps", 0) / 1e6),
-           Table::fmt(win.number_or("t_end_ps", 0) / 1e6),
-           Table::fmt(static_cast<long long>(win.number_or("merged", 1))),
-           Table::fmt(win["cells"].as_array().size()),
-           Table::fmt(static_cast<long long>(ag.number_or("active", 0))),
-           Table::fmt(tot > 0 ? ag.number_or("busy_ps_sum", 0) / tot : 0.0),
-           Table::fmt(ag.number_or("min_busy", 0)),
-           Table::fmt(static_cast<long long>(ag.number_or("min_rank", -1))),
-           Table::fmt(static_cast<long long>(ag.number_or("stragglers", 0)))});
-    }
-    std::printf("\nper-window rank activity (aggregate):\n");
-    win_table.print();
-  } else {
-    Table win_table({"window", "t_begin_us", "t_end_us", "merged", "cells",
-                     "mean_busy", "min_busy", "laggard"});
-    for (std::size_t i = first_shown; i < windows.size(); ++i) {
-      const json::Value& win = windows[i];
-      const json::Array& ranks = win["ranks"].as_array();
-      double busy_sum = 0, busy_min = 2.0;
-      long long laggard = -1;
-      std::size_t active = 0;
-      for (const json::Value& r : ranks) {
-        const double tot = r.number_or("total_ps", 0);
-        if (tot <= 0) continue;
-        const double f = r.number_or("busy_ps", 0) / tot;
-        busy_sum += f;
-        ++active;
-        if (f < busy_min) {
-          busy_min = f;
-          laggard = static_cast<long long>(r.number_or("rank", -1));
-        }
-      }
-      win_table.add_row(
-          {Table::fmt(static_cast<long long>(i)),
-           Table::fmt(win.number_or("t_begin_ps", 0) / 1e6),
-           Table::fmt(win.number_or("t_end_ps", 0) / 1e6),
-           Table::fmt(static_cast<long long>(win.number_or("merged", 1))),
-           Table::fmt(win["cells"].as_array().size()),
-           Table::fmt(active ? busy_sum / static_cast<double>(active) : 0.0),
-           Table::fmt(active ? busy_min : 0.0), Table::fmt(laggard)});
-    }
-    std::printf("\nper-window rank activity:\n");
-    win_table.print();
+  // Windows carry whole-run rank sums (rank_agg) and exact deltas for the
+  // sampled ranks; the mean busy fraction is the time-weighted one
+  // (busy_ps_sum / total_ps_sum).
+  Table win_table({"window", "t_begin_us", "t_end_us", "merged", "cells",
+                   "active", "mean_busy", "min_busy", "laggard",
+                   "stragglers"});
+  for (std::size_t i = first_shown; i < windows.size(); ++i) {
+    const json::Value& win = windows[i];
+    const json::Value& ag = win["rank_agg"];
+    const double tot = ag.number_or("total_ps_sum", 0);
+    win_table.add_row(
+        {Table::fmt(static_cast<long long>(i)),
+         Table::fmt(win.number_or("t_begin_ps", 0) / 1e6),
+         Table::fmt(win.number_or("t_end_ps", 0) / 1e6),
+         Table::fmt(static_cast<long long>(win.number_or("merged", 1))),
+         Table::fmt(win["cells"].as_array().size()),
+         Table::fmt(static_cast<long long>(ag.number_or("active", 0))),
+         Table::fmt(tot > 0 ? ag.number_or("busy_ps_sum", 0) / tot : 0.0),
+         Table::fmt(ag.number_or("min_busy", 0)),
+         Table::fmt(static_cast<long long>(ag.number_or("min_rank", -1))),
+         Table::fmt(static_cast<long long>(ag.number_or("stragglers", 0)))});
   }
+  std::printf("\nper-window rank activity:\n");
+  win_table.print();
 
   // Busiest counter families by total delta across all windows and ranks.
   std::map<std::string, double> fam_totals;
@@ -1166,9 +1014,9 @@ int run_timeline(const Args& a) {
     std::printf("\nanomalies: none\n");
   }
 
-  // Perfetto counter tracks: one counter event per (family, rank) at each
+  // Perfetto counter tracks: one counter event per (family, row) at each
   // window end, same event shape as the live Tracer's gauge tracks, plus a
-  // busy-fraction track per rank.
+  // busy-fraction track per sampled rank.
   if (a.kv.count("perfetto")) {
     const std::string out_path = a.get("perfetto", "timeline_perfetto.json");
     std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
@@ -1183,10 +1031,7 @@ int run_timeline(const Args& a) {
     char buf[256];
     for (const json::Value& win : windows) {
       const double ts_us = win.number_or("t_end_ps", 0) / 1e6;
-      // Aggregate windows have no dense rank array; the sampled ranks'
-      // exact deltas become the busy-fraction tracks instead.
-      for (const json::Value& r :
-           win[aggregate ? "sampled_ranks" : "ranks"].as_array()) {
+      for (const json::Value& r : win["sampled_ranks"].as_array()) {
         const double tot = r.number_or("total_ps", 0);
         const auto rank = static_cast<long long>(r.number_or("rank", 0));
         std::snprintf(buf, sizeof(buf),
