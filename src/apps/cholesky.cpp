@@ -288,11 +288,11 @@ CholeskyResult CholeskyRun::run() {
   self_.barrier();
   const Time elapsed_local = self_.now() - t0;
 
-  double el = to_seconds(elapsed_local);
-  std::vector<double> all(static_cast<std::size_t>(n_));
-  mp::allgather(self_.mp(), &el, sizeof(double), all.data());
+  const mp::Gathered<double> all =
+      mp::allgather(self_.mp(), to_seconds(elapsed_local));
   double el_max = 0;
-  for (double v : all) el_max = std::max(el_max, v);
+  for (std::size_t r = 0; r < all.size(); ++r)
+    el_max = std::max(el_max, all[r]);
 
   CholeskyResult res;
   res.elapsed = seconds(el_max);

@@ -8,23 +8,22 @@
 
 namespace narma::apps {
 
+int stencil_cols_of(int total_cols, int nranks, int rank) {
+  return total_cols / nranks + (rank < total_cols % nranks ? 1 : 0);
+}
+
+int stencil_first_col(int total_cols, int nranks, int rank) {
+  // Every rank before `rank` holds total/n columns, and the first total%n
+  // of them one more.
+  return rank * (total_cols / nranks) + std::min(rank, total_cols % nranks);
+}
+
 namespace {
 
 StencilResult run_stencil_ft(Rank& self, const StencilConfig& cfg);
 
 constexpr int kGhostTag = 1;     // per-row boundary value
 constexpr int kFeedbackTag = 2;  // corner feedback, last rank -> rank 0
-
-/// Column split: first (total % n) ranks get one extra column.
-int width_of(int total_cols, int nranks, int rank) {
-  return total_cols / nranks + (rank < total_cols % nranks ? 1 : 0);
-}
-
-int global_start(int total_cols, int nranks, int rank) {
-  int s = 0;
-  for (int p = 0; p < rank; ++p) s += width_of(total_cols, nranks, p);
-  return s;
-}
 
 /// Local grid of one rank: rows x (width + 1); local column 0 is the ghost
 /// (left neighbor's last column), local columns 1..width are this rank's
@@ -115,13 +114,13 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   if (cfg.ft.enabled) return run_stencil_ft(self, cfg);
   const Topo t = topo_of(self, cfg);
   NARMA_CHECK(cfg.rows >= 2 && cfg.total_cols >= 2);
-  NARMA_CHECK(width_of(cfg.total_cols, t.n, 0) >= 2)
+  NARMA_CHECK(stencil_cols_of(cfg.total_cols, t.n, 0) >= 2)
       << "rank 0 needs at least two columns (boundary + one computed)";
-  NARMA_CHECK(width_of(cfg.total_cols, t.n, t.p) >= 1)
+  NARMA_CHECK(stencil_cols_of(cfg.total_cols, t.n, t.p) >= 1)
       << "more ranks than columns";
 
-  const int W = width_of(cfg.total_cols, t.n, t.p);
-  const int gs = global_start(cfg.total_cols, t.n, t.p);
+  const int W = stencil_cols_of(cfg.total_cols, t.n, t.p);
+  const int gs = stencil_first_col(cfg.total_cols, t.n, t.p);
   LocalGrid g(cfg.rows, W, gs);
 
   // Every variant registers the whole local grid as a window; only the RMA
@@ -132,14 +131,14 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   // Width of the right neighbor, needed to compute the target displacement
   // of its ghost cells.
   const int right_w =
-      t.last_rank ? 0 : width_of(cfg.total_cols, t.n, t.right);
+      t.last_rank ? 0 : stencil_cols_of(cfg.total_cols, t.n, t.right);
   auto right_ghost_disp = [right_w](int r) {
     return static_cast<std::uint64_t>(r) *
            static_cast<std::uint64_t>(right_w + 1);
   };
   // Rank 0's corner A(0,0) lives at local (0, 1).
   const std::uint64_t corner_disp = 1;
-  const int w0 = width_of(cfg.total_cols, t.n, 0);
+  const int w0 = stencil_cols_of(cfg.total_cols, t.n, 0);
   (void)w0;
 
   // Persistent notification requests for the NA variant.
@@ -305,11 +304,11 @@ StencilResult run_stencil(Rank& self, const StencilConfig& cfg) {
   const Time elapsed_local = self.now() - t0;
 
   // Agree on the slowest rank's elapsed time.
-  double el = to_seconds(elapsed_local);
+  const double el = to_seconds(elapsed_local);
+  const mp::Gathered<double> all = mp::allgather(self.mp(), el);
   double el_max = el;
-  std::vector<double> all(static_cast<std::size_t>(t.n));
-  mp::allgather(self.mp(), &el, sizeof(double), all.data());
-  for (double v : all) el_max = std::max(el_max, v);
+  for (std::size_t r = 0; r < all.size(); ++r)
+    el_max = std::max(el_max, all[r]);
 
   StencilResult res;
   res.elapsed = seconds(el_max);
@@ -344,20 +343,20 @@ StencilResult run_stencil_ft(Rank& self, const StencilConfig& cfg) {
   NARMA_CHECK(t.n >= 2) << "fault-tolerant stencil needs >= 2 ranks "
                            "(checkpoints live on a partner rank)";
   NARMA_CHECK(cfg.rows >= 2 && cfg.total_cols >= 2);
-  NARMA_CHECK(width_of(cfg.total_cols, t.n, 0) >= 2)
+  NARMA_CHECK(stencil_cols_of(cfg.total_cols, t.n, 0) >= 2)
       << "rank 0 needs at least two columns (boundary + one computed)";
-  NARMA_CHECK(width_of(cfg.total_cols, t.n, t.p) >= 1)
+  NARMA_CHECK(stencil_cols_of(cfg.total_cols, t.n, t.p) >= 1)
       << "more ranks than columns";
 
-  const int W = width_of(cfg.total_cols, t.n, t.p);
-  const int gs = global_start(cfg.total_cols, t.n, t.p);
+  const int W = stencil_cols_of(cfg.total_cols, t.n, t.p);
+  const int gs = stencil_first_col(cfg.total_cols, t.n, t.p);
   LocalGrid g(cfg.rows, W, gs);
 
   auto win = self.rma().create(g.raw(), g.bytes(), sizeof(double));
   ft::RecoveryManager mgr(self, cfg.ft, {win.get()});
 
   const int right_w =
-      t.last_rank ? 0 : width_of(cfg.total_cols, t.n, t.right);
+      t.last_rank ? 0 : stencil_cols_of(cfg.total_cols, t.n, t.right);
   auto right_ghost_disp = [right_w](int r) {
     return static_cast<std::uint64_t>(r) *
            static_cast<std::uint64_t>(right_w + 1);
@@ -446,11 +445,11 @@ StencilResult run_stencil_ft(Rank& self, const StencilConfig& cfg) {
   self.barrier();
   const Time elapsed_local = self.now() - t0;
 
-  double el = to_seconds(elapsed_local);
+  const double el = to_seconds(elapsed_local);
+  const mp::Gathered<double> all = mp::allgather(self.mp(), el);
   double el_max = el;
-  std::vector<double> all(static_cast<std::size_t>(t.n));
-  mp::allgather(self.mp(), &el, sizeof(double), all.data());
-  for (double v : all) el_max = std::max(el_max, v);
+  for (std::size_t r = 0; r < all.size(); ++r)
+    el_max = std::max(el_max, all[r]);
 
   res.elapsed = seconds(el_max);
   const double updates = static_cast<double>(cfg.rows - 1) *

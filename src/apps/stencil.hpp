@@ -55,6 +55,12 @@ struct StencilConfig {
   ft::FtParams ft;
 };
 
+/// Column split: rank `rank` of `nranks` owns stencil_cols_of(...) global
+/// columns starting at stencil_first_col(...); the first total_cols %
+/// nranks ranks get one extra column.
+int stencil_cols_of(int total_cols, int nranks, int rank);
+int stencil_first_col(int total_cols, int nranks, int rank);
+
 /// Measures the host's stencil update cost (virtual ns per point), for use
 /// as StencilConfig::per_point.
 Time calibrate_stencil_point();

@@ -152,11 +152,11 @@ TreeResult run_tree(Rank& self, const TreeConfig& cfg) {
 
   self.barrier();
 
-  double el = to_seconds(timed);
-  std::vector<double> all(static_cast<std::size_t>(n));
-  mp::allgather(self.mp(), &el, sizeof(double), all.data());
+  const mp::Gathered<double> all =
+      mp::allgather(self.mp(), to_seconds(timed));
   double el_max = 0;
-  for (double v : all) el_max = std::max(el_max, v);
+  for (std::size_t r = 0; r < all.size(); ++r)
+    el_max = std::max(el_max, all[r]);
 
   TreeResult res;
   res.elapsed = seconds(el_max);
@@ -257,11 +257,11 @@ TreeResult run_tree_ft(Rank& self, const TreeConfig& cfg) {
 
   self.barrier();
 
-  double el = to_seconds(timed);
-  std::vector<double> all(static_cast<std::size_t>(n));
-  mp::allgather(self.mp(), &el, sizeof(double), all.data());
+  const mp::Gathered<double> all =
+      mp::allgather(self.mp(), to_seconds(timed));
   double el_max = 0;
-  for (double v : all) el_max = std::max(el_max, v);
+  for (std::size_t r = 0; r < all.size(); ++r)
+    el_max = std::max(el_max, all[r]);
 
   res.elapsed = seconds(el_max);
   res.per_op_us = el_max * 1e6 / static_cast<double>(cfg.reps);

@@ -56,9 +56,7 @@ OverwritingNotifier::Hit OverwritingNotifier::wait_any_slot(
 CountingNotifier::CountingNotifier(Rank& self, std::uint32_t num_counters)
     : self_(self), counters_(num_counters) {
   // Exchange instance addresses so origins can name remote counters.
-  const auto mine = reinterpret_cast<std::uintptr_t>(this);
-  peers_.resize(static_cast<std::size_t>(self.size()));
-  mp::allgather(self.mp(), &mine, sizeof(mine), peers_.data());
+  peers_ = mp::allgather(self.mp(), reinterpret_cast<std::uintptr_t>(this));
 }
 
 void CountingNotifier::signaling_put(rma::Window& data_win, const void* src,

@@ -96,7 +96,7 @@ class CountingNotifier {
   // Per-rank counter state; remote ranks address it through the allgathered
   // instance pointers (simulator license — models NIC counter resources).
   std::vector<net::PendingOps> counters_;
-  std::vector<std::uintptr_t> peers_;  // per-rank CountingNotifier*
+  mp::Gathered<std::uintptr_t> peers_;  // per-rank CountingNotifier*
 };
 
 }  // namespace narma::related

@@ -92,7 +92,8 @@ World::World(int nranks, WorldParams params)
                    ? std::make_unique<obs::Registry>(nranks, params_.obs)
                    : nullptr),
       fabric_(std::make_unique<net::Fabric>(*engine_, params_.fabric,
-                                            metrics_.get())) {
+                                            metrics_.get())),
+      shared_tables_(nranks) {
   if (params_.obs.journal_capacity > 0) {
     journal_ = std::make_unique<obs::Journal>(params_.obs.journal_capacity);
     fabric_->set_journal(journal_.get());
@@ -300,7 +301,7 @@ Rank::Rank(World& world, sim::RankCtx& ctx)
       ctx_(ctx),
       nic_(world.fabric().nic(ctx.id())),
       router_(nic_),
-      ep_(router_, world.params().mp),
+      ep_(router_, world.params().mp, world.shared_tables()),
       winmgr_(router_, ep_, world.params().rma),
       na_(router_, world.params().na) {
   if (obs::Registry* reg = world.metrics()) {

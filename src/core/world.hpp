@@ -83,6 +83,8 @@ class World {
 
   sim::Engine& engine() { return *engine_; }
   net::Fabric& fabric() { return *fabric_; }
+  /// The one copy of each allgather result, shared by all ranks.
+  mp::SharedTables& shared_tables() { return shared_tables_; }
   const WorldParams& params() const { return params_; }
 
   /// Turns on virtual-time tracing (call before run()). The trace can be
@@ -165,6 +167,7 @@ class World {
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<obs::Registry> metrics_;  // before fabric_: Nics bind here
   std::unique_ptr<net::Fabric> fabric_;
+  mp::SharedTables shared_tables_;
   std::unique_ptr<sim::Tracer> tracer_;
   std::unique_ptr<obs::MsgTrace> msgtrace_;
   std::unique_ptr<obs::TimeSeries> timeseries_;

@@ -60,18 +60,13 @@ RecoveryManager::RecoveryManager(Rank& self, const FtParams& params,
   };
   Shape mine{0, static_cast<std::uint64_t>(protect_.size())};
   for (rma::Window* w : protect_) mine.bytes += w->bytes();
-  std::vector<Shape> shapes(static_cast<std::size_t>(n));
-  mp::allgather(self_.mp(), &mine, sizeof mine, shapes.data());
-
-  const Shape& held = shapes[static_cast<std::size_t>(store_rank_)];
+  const Shape held =
+      mp::allgather(self_.mp(), mine)[static_cast<std::size_t>(store_rank_)];
   store_regions_ = static_cast<std::uint32_t>(held.regions);
   store_buf_.resize(held.bytes ? held.bytes : 1);
   store_win_ = self_.rma().create(store_buf_.data(), store_buf_.size(), 1);
   req_ckpt_ = self_.na().notify_init(
       *store_win_, na::MatchSpec{store_rank_, kCkptTag}, store_regions_);
-
-  log_.resize(static_cast<std::size_t>(n));
-  send_seq_.assign(static_cast<std::size_t>(n), 0);
 
   if (obs::Registry* m = self_.world().metrics()) {
     m_ckpts_ = m->counter("ft.ckpts", r);
@@ -100,14 +95,15 @@ void RecoveryManager::put_notify(std::size_t win_idx,
       << params_.log_capacity
       << " entries) — lower the checkpoint interval or raise "
          "FtParams::log_capacity (NARMA_FT_LOG_CAP)";
+  DestLog& dst_log = log_[target];
   ReplayEntry e;
   e.epoch = epoch_ + 1;  // the epoch boundary this notification precedes
-  e.seq = ++send_seq_[static_cast<std::size_t>(target)];
+  e.seq = ++dst_log.send_seq;
   e.win_idx = static_cast<std::uint32_t>(win_idx);
   e.tag = tag;
   e.disp_bytes = w.byte_offset(target_disp);
   e.payload.assign(src.begin(), src.end());
-  log_[static_cast<std::size_t>(target)].push_back(std::move(e));
+  dst_log.entries.push_back(std::move(e));
   ++log_entries_;
   self_.na().put_notify(w, src, target, target_disp, tag);
 }
@@ -187,11 +183,11 @@ void RecoveryManager::checkpoint() {
   last_ckpt_epoch_ = epoch_;
   if (params_.eager_trim) {
     log_entries_ = 0;
-    for (auto& dst_log : log_) {
-      std::erase_if(dst_log, [this](const ReplayEntry& e) {
+    for (auto& [dst, dst_log] : log_) {
+      std::erase_if(dst_log.entries, [this](const ReplayEntry& e) {
         return e.epoch <= epoch_;
       });
-      log_entries_ += dst_log.size();
+      log_entries_ += dst_log.entries.size();
     }
   }
 }
@@ -205,8 +201,14 @@ void RecoveryManager::restore_from_partner() {
   store_win_->flush(partner_);
 }
 
+const std::vector<ReplayEntry>& RecoveryManager::entries_to(int dst) const {
+  static const std::vector<ReplayEntry> kNone;
+  const auto it = log_.find(dst);
+  return it == log_.end() ? kNone : it->second.entries;
+}
+
 std::vector<std::byte> RecoveryManager::serialize_log(int dst) const {
-  const auto& entries = log_[static_cast<std::size_t>(dst)];
+  const std::vector<ReplayEntry>& entries = entries_to(dst);
   std::size_t bytes = 0;
   for (const ReplayEntry& e : entries)
     bytes += kEntryHeaderBytes + e.payload.size();
@@ -367,9 +369,8 @@ void RecoveryManager::run_recovery(int victim) {
     // signal), then ship the whole log for the victim as one blob.
     std::uint64_t restored = 0;
     self_.recv(&restored, sizeof restored, victim, kAnnounceTag);
-    const auto& dst_log = log_[static_cast<std::size_t>(victim)];
     std::vector<std::byte> blob = serialize_log(victim);
-    const std::uint64_t hdr[2] = {dst_log.size(), blob.size()};
+    const std::uint64_t hdr[2] = {entries_to(victim).size(), blob.size()};
     self_.send(hdr, sizeof hdr, victim, kLogCountTag);
     if (!blob.empty())
       self_.send(blob.data(), blob.size(), victim, kLogDataTag);

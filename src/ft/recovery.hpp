@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/world.hpp"
@@ -100,6 +101,15 @@ class RecoveryManager {
   void restore_from_partner();
   std::vector<std::byte> serialize_log(int dst) const;
 
+  /// Sender-side log toward one destination. Only destinations actually
+  /// sent to have one (a stencil rank talks to two neighbours, not n - 1);
+  /// an absent destination reads as an empty log.
+  struct DestLog {
+    std::uint64_t send_seq = 0;  // seq of the last logged entry
+    std::vector<ReplayEntry> entries;
+  };
+  const std::vector<ReplayEntry>& entries_to(int dst) const;
+
   Rank& self_;
   FtParams params_;
   std::vector<rma::Window*> protect_;
@@ -115,9 +125,8 @@ class RecoveryManager {
   std::uint64_t epoch_ = 0;
   std::uint64_t last_ckpt_epoch_ = 0;
   int fails_done_ = 0;
-  std::size_t log_entries_ = 0;                // across all destinations
-  std::vector<std::vector<ReplayEntry>> log_;  // per destination rank
-  std::vector<std::uint64_t> send_seq_;        // per destination rank
+  std::size_t log_entries_ = 0;  // across all destinations
+  std::unordered_map<int, DestLog> log_;
 
   FtStats stats_;
   obs::Counter m_ckpts_, m_ckpt_bytes_, m_fails_, m_applied_, m_dupes_;

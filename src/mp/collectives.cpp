@@ -129,9 +129,17 @@ void gather(Endpoint& ep, const void* send, std::size_t bytes, void* recv,
   }
 }
 
-void allgather(Endpoint& ep, const void* send, std::size_t bytes, void* recv) {
-  gather(ep, send, bytes, recv, 0);
-  bcast(ep, recv, bytes * static_cast<std::size_t>(ep.nranks()), 0);
+SharedBytes allgather(Endpoint& ep, const void* send, std::size_t bytes) {
+  const std::size_t total = bytes * static_cast<std::size_t>(ep.nranks());
+  std::shared_ptr<std::vector<std::byte>> table =
+      ep.shared_tables().enter(ep.next_shared_seq(), total);
+  // Only rank 0's gather writes new bytes. By the time the bcast moves any
+  // data the table is complete, so every delivery rewrites identical bytes:
+  // an eager payload is a staged copy, and a rendezvous put's source is its
+  // target — an exact alias the NIC does not copy.
+  gather(ep, send, bytes, table->data(), 0);
+  bcast(ep, table->data(), total, 0);
+  return table;
 }
 
 }  // namespace narma::mp

@@ -12,6 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "mp/endpoint.hpp"
@@ -41,7 +44,46 @@ void allreduce(Endpoint& ep, const double* in, double* out, std::size_t n);
 void gather(Endpoint& ep, const void* send, std::size_t bytes, void* recv,
             int root);
 
-/// Every rank ends up with all contributions (gather + bcast).
-void allgather(Endpoint& ep, const void* send, std::size_t bytes, void* recv);
+/// An allgather result: every rank's contribution in rank order.
+using SharedBytes = std::shared_ptr<const std::vector<std::byte>>;
+
+/// Every rank ends up with all contributions (gather to rank 0 + bcast). The
+/// result is identical on every rank, so all ranks of the World receive the
+/// same table object (mp/shared_tables.hpp): rank 0's gather writes into it
+/// and the bcast's receive and forwarding buffers are that same table. The
+/// messages, their sizes and their charged costs are those of a per-rank
+/// buffer, so virtual time does not depend on the sharing.
+SharedBytes allgather(Endpoint& ep, const void* send, std::size_t bytes);
+
+/// Typed read-only view of an allgather result: element i of a table of
+/// trivially copyable T (rank i's contribution when each rank sent one T).
+template <class T>
+class Gathered {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  Gathered() = default;
+  explicit Gathered(SharedBytes table) : table_(std::move(table)) {
+    NARMA_CHECK(table_->size() % sizeof(T) == 0)
+        << "a " << table_->size() << "-byte table is not an array of "
+        << sizeof(T) << "-byte elements";
+  }
+
+  std::size_t size() const { return table_ ? table_->size() / sizeof(T) : 0; }
+  T operator[](std::size_t i) const {
+    T v;
+    std::memcpy(&v, table_->data() + i * sizeof(T), sizeof(T));
+    return v;
+  }
+
+ private:
+  SharedBytes table_;
+};
+
+/// allgather of one T per rank.
+template <class T>
+Gathered<T> allgather(Endpoint& ep, const T& mine) {
+  return Gathered<T>(allgather(ep, &mine, sizeof(T)));
+}
 
 }  // namespace narma::mp

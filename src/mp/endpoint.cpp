@@ -12,8 +12,9 @@ Time copy_cost(const MpParams& p, std::size_t bytes) {
 }
 }  // namespace
 
-Endpoint::Endpoint(net::MsgRouter& router, MpParams params)
-    : router_(router), params_(params) {
+Endpoint::Endpoint(net::MsgRouter& router, MpParams params,
+                   SharedTables& tables)
+    : router_(router), params_(params), tables_(tables) {
   router_.register_kind(msgkind::kEager,
                         [this](net::NetMsg&& m) { handle_eager(std::move(m)); });
   router_.register_kind(msgkind::kRts,

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mp/params.hpp"
+#include "mp/shared_tables.hpp"
 #include "net/router.hpp"
 #include "obs/metrics.hpp"
 
@@ -84,7 +85,8 @@ using Request = std::shared_ptr<detail::ReqState>;
 
 class Endpoint {
  public:
-  Endpoint(net::MsgRouter& router, MpParams params);
+  /// `tables` is the World's store of shared collective results.
+  Endpoint(net::MsgRouter& router, MpParams params, SharedTables& tables);
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
@@ -92,6 +94,13 @@ class Endpoint {
   int nranks() const { return router_.nic().fabric().nranks(); }
   const MpParams& params() const { return params_; }
   net::MsgRouter& router() { return router_; }
+
+  /// Where shared-result collectives (allgather) keep their one table, and
+  /// this rank's sequence number for the next such collective. Every rank
+  /// calls collectives in the same order, so equal numbers name the same
+  /// collective.
+  SharedTables& shared_tables() { return tables_; }
+  std::uint64_t next_shared_seq() { return next_shared_seq_++; }
 
   // --- Point-to-point ------------------------------------------------------
 
@@ -158,6 +167,8 @@ class Endpoint {
 
   net::MsgRouter& router_;
   MpParams params_;
+  SharedTables& tables_;
+  std::uint64_t next_shared_seq_ = 0;
   std::uint64_t next_op_id_ = 1;
 
   std::deque<Request> posted_;                    // posted receives, in order

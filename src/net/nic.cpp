@@ -8,6 +8,25 @@
 
 namespace narma::net {
 
+namespace {
+
+/// Commits a put payload at its resolved target. All simulated ranks share
+/// one address space, so the origin buffer can be the target location
+/// itself — a shared collective result (mp/shared_tables.hpp) forwarded to
+/// another rank's view of the same table. That exact alias already holds
+/// the bytes and is not copied; a partial overlap has no defined result.
+void commit_payload(std::byte* dst, const void* src, std::size_t bytes) {
+  const auto d = reinterpret_cast<std::uintptr_t>(dst);
+  const auto s = reinterpret_cast<std::uintptr_t>(src);
+  if (d == s) return;
+  NARMA_CHECK(d + bytes <= s || s + bytes <= d)
+      << "put source [" << src << ", +" << bytes
+      << ") partially overlaps its target " << static_cast<void*>(dst);
+  std::memcpy(dst, src, bytes);
+}
+
+}  // namespace
+
 Nic::Nic(Fabric& fabric, sim::RankCtx& ctx)
     : fabric_(fabric),
       ctx_(ctx),
@@ -404,8 +423,7 @@ void Nic::put_at(Time issue, int target, MemKey key, std::uint64_t offset,
         src_rank, target, issue, bytes, tr, Fabric::ChannelClass::kData,
         [tgt, key, offset, src, bytes, na](Time t) {
           if (bytes > 0) {
-            std::byte* dst = tgt->resolve(key, offset, bytes);
-            std::memcpy(dst, src, bytes);
+            commit_payload(tgt->resolve(key, offset, bytes), src, bytes);
           } else {
             (void)tgt->resolve(key, offset, 0);
           }
@@ -442,8 +460,7 @@ void Nic::put_at(Time issue, int target, MemKey key, std::uint64_t offset,
       src_rank, target, issue, bytes, tr, Fabric::ChannelClass::kData,
       [tgt, target, key, offset, src, bytes, na, bk](Time t) {
         if (bytes > 0) {
-          std::byte* dst = tgt->resolve(key, offset, bytes);
-          std::memcpy(dst, src, bytes);
+          commit_payload(tgt->resolve(key, offset, bytes), src, bytes);
         } else {
           // Zero-byte puts still validate the target address (paper: the
           // calls support zero-byte payloads, notification only).
@@ -497,8 +514,8 @@ void Nic::put_iov(int target, MemKey key,
        counting](Time t) {
         for (const auto& s : segs) {
           if (s.bytes == 0) continue;
-          std::byte* dst = tgt->resolve(key, s.offset, s.bytes);
-          std::memcpy(dst, s.src, s.bytes);
+          commit_payload(tgt->resolve(key, s.offset, s.bytes), s.src,
+                         s.bytes);
         }
         if (na.notify && !counting) {
           tgt->push_cqe(Cqe{CqeKind::kPutNotify, na.imm,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <utility>
 
 #include "mp/collectives.hpp"
@@ -14,35 +13,6 @@ namespace {
 constexpr std::uint32_t kPscwKind = 0x0201;
 constexpr std::uint64_t kSubPost = 0;
 constexpr std::uint64_t kSubComplete = 1;
-
-// Process-wide registry of shared key tables, keyed by (fabric, window id):
-// window ids are collectively consistent within a world, and the fabric
-// address separates concurrently live worlds. Entries erase themselves when
-// the last rank of a window drops its reference. No locking — ranks run one
-// at a time under the engine's one-runnable-context invariant, in both
-// execution models.
-using KeyTableId = std::pair<const void*, std::uint64_t>;
-
-std::map<KeyTableId, std::weak_ptr<KeyTable>>& key_table_registry() {
-  static std::map<KeyTableId, std::weak_ptr<KeyTable>> registry;
-  return registry;
-}
-
-std::shared_ptr<KeyTable> adopt_key_table(const void* fabric,
-                                          std::uint64_t win_id) {
-  auto& registry = key_table_registry();
-  const KeyTableId id{fabric, win_id};
-  if (auto it = registry.find(id); it != registry.end()) {
-    if (auto table = it->second.lock()) return table;
-  }
-  auto table = std::shared_ptr<KeyTable>(
-      new KeyTable, [id](KeyTable* t) {
-        key_table_registry().erase(id);
-        delete t;
-      });
-  registry[id] = table;
-  return table;
-}
 
 // Lifecycle-trace helpers: begin() snapshots the injection instant before
 // the API overhead is charged; trace_issue() marks the post-overhead handoff
@@ -130,31 +100,16 @@ Window::Window(WinManager& mgr, std::uint64_t id, void* base,
       bytes_(bytes),
       disp_unit_(disp_unit == 0 ? 1 : disp_unit),
       owned_(std::move(owned)) {
-  const auto n = static_cast<std::size_t>(ep_.nranks());
-
   // Register with the manager before the collective key exchange: a peer
   // can finish the exchange first and immediately send PSCW traffic here.
   mgr_.windows_.emplace(id_, this);
 
   // Collective setup: register the local region and the lock word, and
   // allgather both keys so every rank can address every other rank's copy.
-  // The gathered table is identical on every rank, so the window's ranks
-  // share one copy; the allgather itself still runs everywhere — sharing
-  // the storage does not change virtual time.
   const net::MemKey keys[2] = {
       nic().register_memory(base_, bytes_),
       nic().register_memory(&lock_word_, sizeof(lock_word_))};
-  std::vector<net::MemKey> gathered(2 * n);
-  mp::allgather(ep_, keys, sizeof(keys), gathered.data());
-  keys_ = adopt_key_table(&nic().fabric(), id_);
-  if (keys_->mem.empty()) {  // first rank to finish the exchange fills it
-    keys_->mem.resize(n);
-    keys_->lock.resize(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      keys_->mem[r] = gathered[2 * r];
-      keys_->lock[r] = gathered[2 * r + 1];
-    }
-  }
+  keys_ = mp::Gathered<net::MemKey>(mp::allgather(ep_, keys, sizeof(keys)));
 }
 
 Window::~Window() {
@@ -162,8 +117,8 @@ Window::~Window() {
   // operations must be complete; flush for safety, then barrier.
   flush_all();
   mp::barrier(ep_);
-  nic().deregister_memory(keys_->mem[static_cast<std::size_t>(rank())]);
-  nic().deregister_memory(keys_->lock[static_cast<std::size_t>(rank())]);
+  nic().deregister_memory(remote_key(rank()));
+  nic().deregister_memory(lock_key(rank()));
   mgr_.windows_.erase(id_);
 }
 
@@ -382,7 +337,7 @@ void Window::lock(LockKind kind, int target) {
   NARMA_CHECK(locks_held_.find(target) == locks_held_.end())
       << "lock(" << target << ") while already holding it";
   router_.nic().ctx().advance(mgr_.params().o_sync);
-  const net::MemKey lkey = keys_->lock[static_cast<std::size_t>(target)];
+  const net::MemKey lkey = lock_key(target);
   net::PendingOps po;
   Time backoff = ns(200);
   for (;;) {
@@ -416,7 +371,7 @@ void Window::unlock(int target) {
       << "unlock(" << target << ") without holding the lock";
   // Remote-complete the epoch's operations before releasing.
   flush(target);
-  const net::MemKey lkey = keys_->lock[static_cast<std::size_t>(target)];
+  const net::MemKey lkey = lock_key(target);
   net::PendingOps po;
   if (it->second == LockKind::kExclusive) {
     std::int64_t old = 0;

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mp/collectives.hpp"
 #include "mp/endpoint.hpp"
 #include "net/router.hpp"
 
@@ -29,16 +30,6 @@ struct RmaParams {
 };
 
 class Window;
-
-/// Remote-key table of one window, shared by all of its ranks. The
-/// allgathered key vectors are identical on every rank, so the ranks adopt
-/// one copy through a process-wide registry (window.cpp) instead of each
-/// holding an nranks-sized copy — 2·n² keys per window at 4096 ranks would
-/// dwarf the windows themselves.
-struct KeyTable {
-  std::vector<net::MemKey> mem;   // per-rank region keys
-  std::vector<net::MemKey> lock;  // per-rank lock-word keys
-};
 
 /// Per-rank registry of windows; owns the PSCW message dispatch and hands
 /// out collectively consistent window ids.
@@ -166,7 +157,7 @@ class Window {
 
   net::Nic& nic() { return router_.nic(); }
   net::MemKey remote_key(int target) const {
-    return keys_->mem[static_cast<std::size_t>(target)];
+    return keys_[2 * static_cast<std::size_t>(target)];
   }
   /// Completion counters for one target, materialized on first use. The NIC
   /// holds the returned pointer until the operations complete, which is why
@@ -184,6 +175,9 @@ class Window {
 
   void on_post(int src);
   void on_complete(int src);
+  net::MemKey lock_key(int target) const {
+    return keys_[2 * static_cast<std::size_t>(target) + 1];
+  }
 
   WinManager& mgr_;
   net::MsgRouter& router_;
@@ -193,7 +187,10 @@ class Window {
   std::size_t bytes_;
   std::size_t disp_unit_;
   std::vector<std::byte> owned_;       // storage when created via allocate
-  std::shared_ptr<KeyTable> keys_;     // shared by the ranks of this window
+  // The allgathered (region, lock word) key pair of every rank: rank r's
+  // region key is keys_[2r], its lock-word key keys_[2r + 1]. One table per
+  // window, held by all of its ranks (mp::allgather).
+  mp::Gathered<net::MemKey> keys_;
 
   // Per-target state is sparse: a rank at scale talks to a handful of
   // neighbors, not to all n-1 peers, so these maps hold entries only for

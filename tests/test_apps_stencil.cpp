@@ -116,3 +116,21 @@ TEST(StencilEdge, MinimalDomain) {
   EXPECT_TRUE(res.verified);
   EXPECT_DOUBLE_EQ(res.corner, 2 + 4 - 2.0);
 }
+
+TEST(StencilSplit, ClosedFormStartMatchesPrefixSum) {
+  // stencil_first_col is O(1); it must equal the running sum of the widths
+  // of all lower ranks, and the split must tile [0, total_cols) exactly.
+  for (int ranks : {1, 2, 3, 4, 7, 8, 16, 33, 100, 1024}) {
+    for (int cols : {ranks, ranks + 1, 2 * ranks - 1, 2 * ranks,
+                     2 * ranks + 5, 3 * ranks + ranks / 2, 1000, 65536}) {
+      if (cols < ranks) continue;
+      int start = 0;
+      for (int p = 0; p < ranks; ++p) {
+        ASSERT_EQ(stencil_first_col(cols, ranks, p), start)
+            << cols << " cols, " << ranks << " ranks, rank " << p;
+        start += stencil_cols_of(cols, ranks, p);
+      }
+      EXPECT_EQ(start, cols) << cols << " cols, " << ranks << " ranks";
+    }
+  }
+}

@@ -1,7 +1,11 @@
 // Unit tests of the collectives: barrier, broadcast, reductions (binomial
-// and k-ary), allreduce, gather/allgather — across several rank counts.
+// and k-ary), allreduce, gather/allgather — across several rank counts —
+// and the sharing of allgather results (one table per collective per World).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -101,12 +105,81 @@ TEST_P(CollectivesP, GatherCollectsInRankOrder) {
 TEST_P(CollectivesP, AllgatherEveryoneHasAll) {
   World world(GetParam());
   world.run([](Rank& self) {
-    const int v = self.id() * 10;
-    std::vector<int> recv(static_cast<std::size_t>(self.size()), -1);
-    mp::allgather(self.mp(), &v, 4, recv.data());
+    const mp::Gathered<int> all = mp::allgather(self.mp(), self.id() * 10);
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(self.size()));
     for (int r = 0; r < self.size(); ++r)
-      EXPECT_EQ(recv[static_cast<std::size_t>(r)], r * 10);
+      EXPECT_EQ(all[static_cast<std::size_t>(r)], r * 10);
   });
+}
+
+TEST_P(CollectivesP, AllgatherRendezvousSizedTable) {
+  // 1 KiB per rank puts every table from 9 ranks up above the eager
+  // threshold, so the bcast forwards it with rendezvous puts whose source
+  // and target are the same shared table.
+  World world(GetParam());
+  world.run([](Rank& self) {
+    std::array<std::uint32_t, 256> mine;
+    for (std::size_t i = 0; i < mine.size(); ++i)
+      mine[i] = static_cast<std::uint32_t>(self.id()) * 1000u +
+                static_cast<std::uint32_t>(i);
+    const mp::Gathered<std::array<std::uint32_t, 256>> all =
+        mp::allgather(self.mp(), mine);
+    for (int r = 0; r < self.size(); ++r) {
+      const auto row = all[static_cast<std::size_t>(r)];
+      EXPECT_EQ(row[0], static_cast<std::uint32_t>(r) * 1000u);
+      EXPECT_EQ(row[255], static_cast<std::uint32_t>(r) * 1000u + 255u);
+    }
+  });
+}
+
+TEST_P(CollectivesP, AllgatherEveryRankHoldsTheSameTable) {
+  const int n = GetParam();
+  World world(n);
+  std::vector<const void*> seen(static_cast<std::size_t>(n), nullptr);
+  world.run([&](Rank& self) {
+    const int v = self.id();
+    const mp::SharedBytes t = mp::allgather(self.mp(), &v, sizeof v);
+    seen[static_cast<std::size_t>(self.id())] = t.get();
+  });
+  for (int r = 0; r < n; ++r)
+    EXPECT_EQ(seen[static_cast<std::size_t>(r)], seen[0]) << "rank " << r;
+}
+
+TEST_P(CollectivesP, AllgatherTableDiesWithItsLastHolder) {
+  const int n = GetParam();
+  auto world = std::make_unique<World>(n);
+  std::vector<mp::SharedBytes> held(static_cast<std::size_t>(n));
+  std::weak_ptr<const std::vector<std::byte>> watch;
+  world->run([&](Rank& self) {
+    const int v = self.id();
+    held[static_cast<std::size_t>(self.id())] =
+        mp::allgather(self.mp(), &v, sizeof v);
+    if (self.id() == 0) watch = held[0];
+  });
+  // Every rank entered, so the registry has already let go of the table.
+  EXPECT_EQ(world->shared_tables().open(), 0u);
+  world.reset();
+  for (int r = 0; r < n; ++r) {
+    EXPECT_FALSE(watch.expired()) << "released with " << n - r << " holders";
+    held[static_cast<std::size_t>(r)].reset();
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST_P(CollectivesP, BackToBackAllgathersGetDistinctTables) {
+  World world(GetParam());
+  world.run([](Rank& self) {
+    const int mine[2] = {self.id(), -self.id()};
+    const mp::SharedBytes a = mp::allgather(self.mp(), &mine[0], sizeof(int));
+    const mp::SharedBytes b = mp::allgather(self.mp(), &mine[1], sizeof(int));
+    EXPECT_NE(a.get(), b.get());
+    const mp::Gathered<int> ga(a), gb(b);
+    for (int r = 0; r < self.size(); ++r) {
+      EXPECT_EQ(ga[static_cast<std::size_t>(r)], r);
+      EXPECT_EQ(gb[static_cast<std::size_t>(r)], -r);
+    }
+  });
+  EXPECT_EQ(world.shared_tables().open(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectivesP,

@@ -143,11 +143,10 @@ TEST(Rma, CompareSwapOnlyOneWinner) {
     win->compare_swap_i64(0, 0, 0, self.id() + 1, &old);
     win->flush(0);
     const bool won = old == 0;
-    std::vector<double> wins(static_cast<std::size_t>(self.size()));
-    double w = won ? 1.0 : 0.0;
-    mp::allgather(self.mp(), &w, sizeof(double), wins.data());
+    const mp::Gathered<double> wins =
+        mp::allgather(self.mp(), won ? 1.0 : 0.0);
     double total = 0;
-    for (double x : wins) total += x;
+    for (std::size_t r = 0; r < wins.size(); ++r) total += wins[r];
     EXPECT_EQ(total, 1.0);  // exactly one winner
     self.barrier();
   });
