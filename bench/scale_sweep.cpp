@@ -2,8 +2,9 @@
 // replaced one-OS-thread-per-rank with cooperatively scheduled fibers
 // claims the simulator now reaches 4096+ ranks on one core. This sweep
 // measures it: both paper workloads (pipelined stencil, 16-ary tree
-// reduction) at ranks = 32 .. 4096 (the stencil also at 16384), reporting
-// wall time, executed engine events, events/sec, and peak RSS.
+// reduction) at ranks = 32 .. 4096 (the stencil also at 16384), plus a
+// barrier burst at 8192 ranks, reporting wall time, executed engine events,
+// events/sec, and peak RSS.
 //
 // Each configuration runs in a forked child so its peak RSS (VmHWM) is its
 // own, not the high-water mark of whichever larger run came before it in
@@ -139,6 +140,26 @@ Sample run_stencil_obs0_child(int nranks) {
 
 Sample run_stencil_obs_child(int nranks) {
   return run_stencil_obs_pair(nranks, true);
+}
+
+/// Barrier burst (DESIGN.md §8): every rank enters three dissemination
+/// barriers from a common start, so each round posts one delivery per rank
+/// at a handful of nearby instants. The engine's event queue meets this
+/// post pattern at every collective; a sorted bottom filled by linear
+/// insertion made it quadratic in the rank count.
+Sample run_barrier_burst_child(int nranks) {
+  World world(nranks);
+  const std::uint64_t t0 = wallclock_ns();
+  world.run([](Rank& self) {
+    for (int i = 0; i < 3; ++i) self.barrier();
+  });
+  Sample s;
+  s.wall_ns = wallclock_ns() - t0;
+  s.events = world.engine().events_executed();
+  s.peak_rss_kb = peak_rss_kb();
+  // Completion is the check: a lost delivery ends in the deadlock dump.
+  s.verified = 1;
+  return s;
 }
 
 /// Recovery-time leg (DESIGN.md §15): the notified stencil under a pinned
@@ -318,6 +339,10 @@ int main() {
               "vs the full obs stack (metrics + recorder + journal)");
   sweep("stencil_obs0", run_stencil_obs0_child, rank_counts, nreps);
   sweep("stencil_obs", run_stencil_obs_child, rank_counts, nreps);
+  bench::note("barrier_burst: three dissemination barriers from a common "
+              "start; one delivery per rank per round at a few instants");
+  sweep("barrier_burst", run_barrier_burst_child,
+        {bench::scale() >= 1.0 ? 8192 : 256}, nreps);
   bench::note("recovery_k*: notified stencil (64 rows x 2 cols/rank, 8 "
               "iters) with a pinned fail-stop of rank n/2 at epoch 6; "
               "recovery time vs checkpoint interval");

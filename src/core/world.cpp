@@ -180,15 +180,22 @@ void World::run(const std::function<void(Rank&)>& rank_main) {
       .set(static_cast<std::int64_t>(pool.recycled), t_end);
   metrics_->gauge("sim.event_pool_oversize", 0)
       .set(static_cast<std::int64_t>(pool.oversize), t_end);
-  // Queue depth sampled at each pop, merged bucket-wise (the engine cannot
-  // link obs, so it records into its own log2 histogram).
-  obs::Histogram depth = metrics_->histogram("sim.queue_depth_at_pop", 0);
-  const sim::Log2Hist& h = engine_->pop_depth_hist();
-  for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-    if (!h.buckets[i]) continue;
-    const std::uint64_t rep = i == 0 ? 0 : (1ull << (i - 1));
-    depth.record_multi(rep, h.buckets[i]);
-  }
+  // Queue depth sampled at each pop and keys moved aside per sorted-bottom
+  // insert, merged bucket-wise (the engine cannot link obs, so it records
+  // into its own log2 histograms).
+  auto merge = [&](const char* name, const sim::Log2Hist& h) {
+    obs::Histogram dst = metrics_->histogram(name, 0);
+    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+      if (!h.buckets[i]) continue;
+      const std::uint64_t rep = i == 0 ? 0 : (1ull << (i - 1));
+      dst.record_multi(rep, h.buckets[i]);
+    }
+  };
+  merge("sim.queue_depth_at_pop", engine_->pop_depth_hist());
+  merge("sim.bottom_insert_scan", engine_->bottom_insert_scan_hist());
+  metrics_->gauge("sim.ladder_rungs_hw", 0)
+      .set(static_cast<std::int64_t>(engine_->ladder_rungs_high_water()),
+           t_end);
   for (int r = 0; r < engine_->nranks(); ++r) {
     sim::RankCtx& ctx = engine_->rank(r);
     const Time total = ctx.now();

@@ -121,14 +121,11 @@ bool RecoveryManager::end_epoch() {
   const net::FaultParams& fp = fab.params().faults;
   if (fp.fail_rate > 0 && fails_done_ < fp.max_fails &&
       epoch_ >= params_.min_fail_epoch) {
-    // Every rank evaluates every rank's draw — communication-free
-    // agreement on the victim (first failing rank wins the epoch).
-    for (int cand = 0; cand < self_.size(); ++cand) {
-      if (fab.faults().fail_draw(cand, epoch_)) {
-        victim = cand;
-        break;
-      }
-    }
+    // The fail plan is a pure hash every rank could evaluate for every
+    // rank — communication-free agreement on the victim (first failing
+    // rank wins the epoch). The World's injector scans once per epoch and
+    // hands the other ranks the memoised answer.
+    victim = fab.faults().first_failing(epoch_);
   }
   if (victim >= 0) {
     ++fails_done_;

@@ -19,10 +19,11 @@
 //    bounded and trimmed at checkpoints: entries from checkpointed epochs
 //    can never be replayed.
 //
-//  * Fail/rejoin. At each epoch boundary (end_epoch) all ranks evaluate the
+//  * Fail/rejoin. At each epoch boundary (end_epoch) all ranks consult the
 //    seeded fail plan (FaultInjector::fail_draw — a pure hash, so survivors
 //    agree on the victim without communication: a perfect failure
-//    detector). The victim marks its channels down (deliveries dead-drop
+//    detector; FaultInjector::first_failing scans it once per epoch for
+//    the whole World). The victim marks its channels down (deliveries dead-drop
 //    instead of aborting), wipes its protected windows, sleeps the restart
 //    time, restores from its partner's store, then *announces* its restored
 //    epoch to every peer; only on that announcement do peers ship their

@@ -19,7 +19,7 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 FaultInjector::FaultInjector(const FaultParams& params, int nranks)
-    : params_(params), enabled_(params.any_faults()) {
+    : params_(params), enabled_(params.any_faults()), nranks_(nranks) {
   NARMA_CHECK(params_.drop_rate >= 0 && params_.drop_rate <= 1 &&
               params_.delay_rate >= 0 && params_.delay_rate <= 1 &&
               params_.stall_rate >= 0 && params_.stall_rate <= 1 &&
@@ -72,6 +72,21 @@ bool FaultInjector::fail_draw(int rank, std::uint64_t epoch) const {
   if (params_.fail_rate <= 0) return false;
   return uniform(static_cast<std::uint64_t>(rank), epoch, 5) <
          params_.fail_rate;
+}
+
+int FaultInjector::first_failing(std::uint64_t epoch) {
+  if (victim_valid_ && victim_epoch_ == epoch) return victim_;
+  victim_valid_ = true;
+  victim_epoch_ = epoch;
+  victim_ = -1;
+  for (int r = 0; r < nranks_; ++r) {
+    ++victim_draws_;
+    if (fail_draw(r, epoch)) {
+      victim_ = r;
+      break;
+    }
+  }
+  return victim_;
 }
 
 FlowControl::FlowControl(const FaultParams& params, int nranks,

@@ -67,6 +67,15 @@ class FaultInjector {
   /// does, so a nonzero fail_rate alone leaves per-message timing untouched.
   bool fail_draw(int rank, std::uint64_t epoch) const;
 
+  /// The lowest rank whose fail_draw fires at `epoch`, or -1: the ft
+  /// layer's victim. Every rank asks once per epoch boundary, so the scan
+  /// runs once per epoch (at most nranks draws) and later calls for the
+  /// same epoch return the memoised victim.
+  int first_failing(std::uint64_t epoch);
+
+  /// fail_draw evaluations made by first_failing() so far.
+  std::uint64_t victim_draws() const { return victim_draws_; }
+
  private:
   /// Uniform double in [0, 1) from the counter-based hash.
   double uniform(std::uint64_t rank, std::uint64_t seq,
@@ -74,6 +83,11 @@ class FaultInjector {
 
   FaultParams params_;
   bool enabled_;
+  int nranks_;
+  std::uint64_t victim_epoch_ = 0;  // epoch victim_ was computed for ...
+  bool victim_valid_ = false;       // ... once the first scan ran
+  int victim_ = -1;
+  std::uint64_t victim_draws_ = 0;
   std::vector<std::uint64_t> transfer_seq_;  // per source rank
   std::vector<std::uint64_t> pressure_seq_;  // per destination rank
 };

@@ -103,7 +103,8 @@ Engine::Engine(int nranks, SimParams params)
       use_calendar_(params.event_queue == EventQueue::kCalendar),
       use_fibers_(params.exec_model == ExecModel::kFibers) {
   NARMA_CHECK(nranks >= 1) << "engine needs at least one rank";
-  NARMA_CHECK(params.calendar_buckets >= 1);
+  NARMA_CHECK(params.calendar_buckets >= 1)
+      << "SimParams::calendar_buckets must be >= 1";
   ranks_.reset(new RankCtx[static_cast<std::size_t>(nranks)]);
   for (int i = 0; i < nranks; ++i) {
     ranks_[static_cast<std::size_t>(i)].engine_ = this;

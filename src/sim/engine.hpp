@@ -228,8 +228,9 @@ class Engine {
   /// Schedules several closures at the *same* timestamp with consecutive
   /// sequence numbers; they execute in argument order. The NIC delivery
   /// paths use this where one hardware action completes multiple parties
-  /// at one instant (e.g. shm-notification delivery + local completion);
-  /// the calendar queue locates the target segment once for the batch.
+  /// at one instant (e.g. shm-notification delivery + local completion).
+  /// The calendar queue routes each key like a single post; the keys after
+  /// the first append behind it.
   template <class... Fs>
   void post_batch(Time t, Fs&&... fns) {
     static_assert(sizeof...(Fs) >= 1);
@@ -275,6 +276,15 @@ class Engine {
   std::uint64_t stale_heap_skips() const { return stale_heap_skips_; }
   /// Queue depth sampled at every pop (log2 buckets).
   const Log2Hist& pop_depth_hist() const { return pop_depth_hist_; }
+  /// Keys the calendar queue moved aside per insert into its sorted bottom
+  /// (log2 buckets; empty under the legacy heap).
+  const Log2Hist& bottom_insert_scan_hist() const {
+    return calendar_.bottom_insert_scan();
+  }
+  /// Most ladder rungs live below the calendar at once.
+  std::size_t ladder_rungs_high_water() const {
+    return calendar_.rungs_high_water();
+  }
   /// Occupancy of the oversized-closure slab pool.
   const EventPool::Stats& pool_stats() const { return pool_.stats(); }
 

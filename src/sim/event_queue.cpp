@@ -42,100 +42,173 @@ void EventPool::release(void* p, std::size_t bytes) {
 
 // ---------------------------------------------------------- CalendarQueue --
 
-void CalendarQueue::insert(CalEvent ev) {
-  if (ev.time < bottom_end_) {
-    bottom_.insert(
-        bottom_.begin() +
-            static_cast<std::ptrdiff_t>(bottom_pos(ev.time, ev.seq)),
-        std::move(ev));
-    return;
-  }
-  if (ev.time < cal_end_) {
-    buckets_[static_cast<std::size_t>((ev.time - cal_start_) / width_)]
-        .push_back(std::move(ev));
-    return;
-  }
-  overflow_.push_back(std::move(ev));
+namespace {
+
+constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+
+// start + (n << shift), saturating at kMaxTime.
+Time offset(Time start, std::size_t n, unsigned shift) {
+  if (static_cast<Time>(n) > (kMaxTime >> shift)) return kMaxTime;
+  const Time span = static_cast<Time>(n) << shift;
+  return start > kMaxTime - span ? kMaxTime : start + span;
 }
 
-std::size_t CalendarQueue::bottom_pos(Time t, std::uint64_t seq) const {
-  // bottom_ is sorted descending by (time, seq); scan from the back, where
-  // the engine's mostly-monotonic posts land (a new minimum is O(1)).
-  const CalEvent key{t, seq, {}};
-  std::size_t i = bottom_.size();
-  while (i > 0 && key_less(bottom_[i - 1], key)) --i;
-  return i;
+}  // namespace
+
+void CalendarQueue::Rung::reset(Time first, Time last) {
+  // The narrowest power-of-two width whose buckets cover [first, last].
+  const Time per_bucket = (last - first) / buckets.size();
+  shift = std::min(static_cast<unsigned>(std::bit_width(per_bucket)), 63u);
+  start = first;
+  hi = last == kMaxTime ? kMaxTime : last + 1;
+  advance(0);
 }
 
-void CalendarQueue::push_batch(Time t, std::uint64_t first_seq, InlineFn* fns,
-                               std::size_t n) {
-  size_ += n;
-  if (t < bottom_end_) {
-    // One position search for the whole batch; inserting each item at the
-    // same index leaves them in descending-seq order, i.e. the lowest seq
-    // nearest the back, which pops (executes) first.
-    const std::size_t pos = bottom_pos(t, first_seq);
-    for (std::size_t i = 0; i < n; ++i)
-      bottom_.insert(bottom_.begin() + static_cast<std::ptrdiff_t>(pos),
-                     CalEvent{t, first_seq + i, std::move(fns[i])});
+void CalendarQueue::Rung::advance(std::size_t next) {
+  cur = next;
+  lo = next >= buckets.size() ? hi : std::min(hi, offset(start, next, shift));
+}
+
+CalendarQueue::CalendarQueue(std::uint32_t nbuckets) {
+  rungs_[0].buckets.resize(nbuckets);
+  rungs_[0].reset(0, 0);
+}
+
+std::uint32_t CalendarQueue::park(InlineFn fn) {
+  if (free_slots_.empty()) {
+    NARMA_ASSERT(slots_.size() < std::numeric_limits<std::uint32_t>::max());
+    slots_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = std::move(fn);
+  return slot;
+}
+
+void CalendarQueue::route(const EventKey& k) {
+  // Levels nest: bottom < deepest rung < ... < calendar < overflow, and
+  // each rung's hi is its parent's lo. Walk up from the deepest rung, where
+  // near-time posts land.
+  std::size_t i = depth_ - 1;
+  if (k.time < rungs_[i].lo) {
+    bottom_insert(k);
     return;
   }
-  std::vector<CalEvent>* dst =
-      t < cal_end_
-          ? &buckets_[static_cast<std::size_t>((t - cal_start_) / width_)]
-          : &overflow_;
-  for (std::size_t i = 0; i < n; ++i)
-    dst->push_back(CalEvent{t, first_seq + i, std::move(fns[i])});
+  for (;; --i) {
+    Rung& r = rungs_[i];
+    if (k.time < r.hi) {
+      r.buckets[r.index(k.time)].push_back(k);
+      return;
+    }
+    if (i == 0) break;
+  }
+  overflow_.push_back(k);
+}
+
+void CalendarQueue::bottom_insert(const EventKey& k) {
+  if (head_ == bottom_.size() || key_less(bottom_.back(), k)) {
+    // Append. Compact the popped prefix instead of growing when it is at
+    // least half the vector: each compaction moves fewer keys than were
+    // popped since the last one.
+    if (bottom_.size() == bottom_.capacity() && 2 * head_ >= bottom_.size()) {
+      bottom_.erase(bottom_.begin(),
+                    bottom_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    bottom_.push_back(k);
+    scan_hist_.record(0);
+  } else {
+    // Shift whichever side of the insertion point is shorter; the popped
+    // prefix gives the front a free slot.
+    const auto first = bottom_.begin() + static_cast<std::ptrdiff_t>(head_);
+    const auto pos = std::upper_bound(first, bottom_.end(), k, key_less);
+    const auto before = static_cast<std::size_t>(pos - first);
+    const auto after = static_cast<std::size_t>(bottom_.end() - pos);
+    if (head_ > 0 && before < after) {
+      std::move(first, pos, first - 1);
+      *(pos - 1) = k;
+      --head_;
+      scan_hist_.record(before);
+    } else {
+      bottom_.insert(pos, k);
+      scan_hist_.record(after);
+    }
+  }
+  if (bottom_.size() - head_ > kSpillKeys && depth_ <= kMaxRungs &&
+      bottom_[head_].time != bottom_.back().time) {
+    spill(bottom_, head_, bottom_[head_].time, bottom_.back().time);
+    head_ = 0;
+  }
+}
+
+void CalendarQueue::spill(std::vector<EventKey>& src, std::size_t from,
+                          Time first, Time last) {
+  // The new rung spans the keys [from, end) of `src` and reaches up to the
+  // current deepest rung's lo, so the level nesting holds.
+  Rung& r = rungs_[depth_];
+  if (r.buckets.empty()) r.buckets.resize(kRungBuckets);
+  r.reset(first, last);
+  r.hi = rungs_[depth_ - 1].lo;
+  r.advance(0);
+  for (std::size_t i = from; i < src.size(); ++i)
+    r.buckets[r.index(src[i].time)].push_back(src[i]);
+  src.clear();
+  ++depth_;
+  rungs_hw_ = std::max(rungs_hw_, depth_ - 1);
 }
 
 void CalendarQueue::settle() {
   NARMA_ASSERT(size_ > 0);
-  while (bottom_.empty()) {
-    while (cur_ < buckets_.size() && buckets_[cur_].empty()) ++cur_;
-    if (cur_ < buckets_.size()) {
-      // Swap the bucket's storage in (capacities circulate, no allocation)
-      // and sort it once, descending so pops are move-out pop_backs.
-      bottom_.swap(buckets_[cur_]);
-      std::sort(bottom_.begin(), bottom_.end(),
-                [](const CalEvent& a, const CalEvent& b) {
-                  return key_less(b, a);
-                });
-      ++cur_;
-      bottom_end_ = span_end(cal_start_, width_ * static_cast<Time>(cur_));
-      continue;  // swapped bucket was nonempty; loop exits
+  while (head_ == bottom_.size()) {
+    bottom_.clear();
+    head_ = 0;
+    Rung& r = rungs_[depth_ - 1];
+    std::size_t i = r.cur;
+    while (i < r.buckets.size() && r.buckets[i].empty()) ++i;
+    if (i == r.buckets.size()) {
+      r.advance(i);
+      if (depth_ > 1)
+        --depth_;
+      else
+        rebuild();
+      continue;
     }
-    rebuild();
+    r.advance(i + 1);
+    std::vector<EventKey>& b = r.buckets[i];
+    if (b.size() > kSpillKeys && depth_ <= kMaxRungs) {
+      const auto [mn, mx] = std::minmax_element(
+          b.begin(), b.end(),
+          [](const EventKey& x, const EventKey& y) { return x.time < y.time; });
+      if (mn->time != mx->time) {
+        spill(b, 0, mn->time, mx->time);
+        continue;
+      }
+    }
+    // Copy rather than swap storage: every bucket and the bottom keep their
+    // own capacity, so a warmed queue never allocates.
+    bottom_.assign(b.begin(), b.end());
+    b.clear();
+    std::sort(bottom_.begin(), bottom_.end(), key_less);
   }
 }
 
 void CalendarQueue::rebuild() {
-  // The calendar is drained; re-seed it from overflow_ with a bucket width
-  // matched to the observed spread, so each bucket holds roughly a
-  // 1/nbuckets slice of the pending events.
+  // Every level below the calendar is drained; re-seed the calendar from
+  // overflow_ with a bucket width matched to the observed spread, so each
+  // bucket holds roughly a 1/nbuckets slice of the pending events.
   NARMA_ASSERT(!overflow_.empty());
-  Time lo = std::numeric_limits<Time>::max();
+  Time lo = kMaxTime;
   Time hi = 0;
-  for (const CalEvent& e : overflow_) {
-    lo = std::min(lo, e.time);
-    hi = std::max(hi, e.time);
+  for (const EventKey& k : overflow_) {
+    lo = std::min(lo, k.time);
+    hi = std::max(hi, k.time);
   }
-  cal_start_ = lo;
-  width_ = (hi - lo) / static_cast<Time>(buckets_.size()) + 1;
-  cal_end_ = span_end(cal_start_, cal_span());
-  bottom_end_ = lo;
-  cur_ = 0;
-  // Repartition in place; with the width above every event fits below
-  // cal_end_, but keep the general form for saturated spans.
-  std::size_t keep = 0;
-  for (CalEvent& e : overflow_) {
-    if (e.time < cal_end_) {
-      buckets_[static_cast<std::size_t>((e.time - cal_start_) / width_)]
-          .push_back(std::move(e));
-    } else {
-      overflow_[keep++] = std::move(e);
-    }
-  }
-  overflow_.resize(keep);
+  Rung& cal = rungs_[0];
+  cal.reset(lo, hi);
+  for (const EventKey& k : overflow_)
+    cal.buckets[cal.index(k.time)].push_back(k);
+  overflow_.clear();
 }
 
 }  // namespace narma::sim

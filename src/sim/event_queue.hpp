@@ -1,6 +1,7 @@
 // Event storage for the discrete-event engine's hottest loop.
 //
-// Three pieces (selected via SimParams::event_queue, see params.hpp):
+// Four pieces (the queue is selected via SimParams::event_queue, see
+// params.hpp):
 //
 //  * InlineFn — a move-only callable with 48 bytes of inline storage. The
 //    common NIC-delivery closures (a handful of pointers and integers) are
@@ -10,11 +11,10 @@
 //    from core/notify.hpp: 128-byte blocks carved from 64-block slabs with
 //    free-list reuse. Blocks larger than one slot go to ::operator new and
 //    are counted (Stats::oversize).
-//  * CalendarQueue — a bucketed calendar/ladder queue keyed on (time, seq).
-//    Future events land in an unsorted bucket in O(1); a bucket is sorted
-//    only when it becomes current ("bottom"), from which pop is a move-out
-//    pop_back. For the engine's mostly-monotonic posting pattern this is
-//    near-O(1) per op versus the binary heap's O(log n) compare/copy chain.
+//  * CalendarQueue — a ladder queue (Tang, Goh & Thng, ACM TOMACS 2005)
+//    over 24-byte (time, seq, slot) keys. The closure is parked once in a
+//    recycled slot array and moved out once, at pop; every bucket, rung,
+//    overflow list and the sorted bottom moves only keys.
 //  * LegacyHeapQueue — the original std::priority_queue of std::function
 //    events, preserved bit-for-bit (including the closure copy on pop) for
 //    ablation and the equivalence property tests.
@@ -24,6 +24,7 @@
 // it every virtual-time result — is bit-identical regardless of the queue.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -169,6 +170,27 @@ class InlineFn {
   void (*manage_)(Op, InlineFn&, InlineFn*) = nullptr;
 };
 
+/// Dependency-free log2 histogram matching obs::HistData's bucket
+/// convention (bucket index = bit_width(v); zero-valued samples in bucket
+/// 0). sim cannot link obs — obs mirrors gauges into sim::Tracer — so the
+/// engine records locally and World::run merges the buckets into the
+/// metrics registry via obs::Histogram::record_multi.
+struct Log2Hist {
+  std::array<std::uint64_t, 64> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+
+  void record(std::uint64_t v) {
+    ++buckets[static_cast<std::size_t>(std::bit_width(v))];
+    ++count;
+    sum += v;
+    if (count == 1 || v < min) min = v;
+    if (v > max) max = v;
+  }
+};
+
 /// A scheduled event: (time, seq) key plus the pooled closure.
 struct CalEvent {
   Time time;
@@ -176,77 +198,127 @@ struct CalEvent {
   InlineFn fn;
 };
 
-/// Bucketed calendar/ladder queue over CalEvents.
+/// What the calendar queue sorts and moves: the (time, seq) key plus the
+/// index of the slot that parks the event's closure.
+struct EventKey {
+  Time time;
+  std::uint64_t seq;
+  std::uint32_t slot;
+};
+static_assert(sizeof(EventKey) == 24);
+
+/// Ladder queue over EventKeys (DESIGN.md §8).
 ///
-/// Layout: `bottom_` holds the current window [.., bottom_end_) sorted
-/// descending by key so the minimum pops from the back by move; `buckets_`
-/// cover [cal_start_, cal_end_) in `width_`-wide unsorted slices; events
-/// beyond the calendar horizon collect in `overflow_`. When bottom drains,
-/// the next nonempty bucket is swapped in and sorted once; when the whole
-/// calendar drains, it is re-seeded from overflow with a width matched to
-/// the observed time spread. All storage is recycled, so steady-state
+/// Levels, earliest first:
+///  * `bottom_` — ascending by key; the live part is [head_, size), so pop
+///    advances `head_`. A key at or after every pending key is an O(1)
+///    append, which covers same-time bursts (seq only grows) and the NIC's
+///    mostly-monotonic posts.
+///  * rungs — `rungs_[0]` is the calendar (`nbuckets` buckets re-seeded
+///    from `overflow_` with a width matched to its spread); deeper rungs
+///    have kRungBuckets finer buckets over one dequeued bucket or over a
+///    spilled bottom. Buckets are unsorted; a bucket is sorted only when it
+///    becomes the bottom.
+///  * `overflow_` — unsorted keys at or beyond the calendar's end.
+///
+/// A bucket that would become a bottom of more than kSpillKeys keys over
+/// more than one timestamp spawns a finer rung instead, and so does a
+/// bottom that grows past kSpillKeys through inserts; at most kMaxRungs
+/// rungs sit below the calendar. All storage is recycled, so steady-state
 /// push/pop performs no allocation.
 class CalendarQueue {
  public:
-  explicit CalendarQueue(std::uint32_t nbuckets)
-      : buckets_(nbuckets), cal_end_(span_end(0, width_)) {}
+  static constexpr std::size_t kRungBuckets = 64;
+  static constexpr std::size_t kSpillKeys = 48;
+  static constexpr std::size_t kMaxRungs = 8;
+
+  explicit CalendarQueue(std::uint32_t nbuckets);
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
   void push(Time t, std::uint64_t seq, InlineFn fn) {
-    insert(CalEvent{t, seq, std::move(fn)});
+    route(EventKey{t, seq, park(std::move(fn))});
     ++size_;
   }
 
   /// Posts `n` closures at one timestamp with consecutive sequence numbers;
-  /// the target segment (bucket, bottom position, or overflow) is located
-  /// once for the whole batch.
+  /// each is routed like a single push (same-time keys after the first
+  /// append behind it).
   void push_batch(Time t, std::uint64_t first_seq, InlineFn* fns,
-                  std::size_t n);
+                  std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i)
+      push(t, first_seq + i, std::move(fns[i]));
+  }
 
   /// Smallest pending (time); requires !empty().
   Time top_time() {
-    settle();
-    return bottom_.back().time;
+    if (head_ == bottom_.size()) settle();
+    return bottom_[head_].time;
   }
 
   /// Move-out pop of the minimum (time, seq) event; requires !empty().
   CalEvent pop() {
-    settle();
-    CalEvent ev = std::move(bottom_.back());
-    bottom_.pop_back();
+    if (head_ == bottom_.size()) settle();
+    const EventKey k = bottom_[head_++];
+    if (head_ == bottom_.size()) {
+      bottom_.clear();
+      head_ = 0;
+    }
     --size_;
-    return ev;
+    free_slots_.push_back(k.slot);
+    return CalEvent{k.time, k.seq, std::move(slots_[k.slot])};
   }
+
+  /// Keys moved aside per insert into the sorted bottom (log2 buckets); an
+  /// append records 0.
+  const Log2Hist& bottom_insert_scan() const { return scan_hist_; }
+  /// Most rungs ever live below the calendar at once (<= kMaxRungs).
+  std::size_t rungs_high_water() const { return rungs_hw_; }
 
  private:
-  static bool key_less(const CalEvent& a, const CalEvent& b) {
+  static bool key_less(const EventKey& a, const EventKey& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
-  static Time span_end(Time start, Time width_times_n) {
-    constexpr Time kMax = std::numeric_limits<Time>::max();
-    return start > kMax - width_times_n ? kMax : start + width_times_n;
-  }
 
-  Time cal_span() const {
-    return width_ * static_cast<Time>(buckets_.size());
-  }
+  struct Rung {
+    std::vector<std::vector<EventKey>> buckets;  // unsorted
+    Time start = 0;       // bucket i covers [start + i*width, +width) ...
+    Time hi = 0;          // ... except the last, which runs to hi
+    Time lo = 0;          // keys below lo belong to deeper levels
+    unsigned shift = 0;   // width = 1 << shift
+    std::size_t cur = 0;  // next bucket to drain; [0, cur) are empty
 
-  void insert(CalEvent ev);
-  std::size_t bottom_pos(Time t, std::uint64_t seq) const;
-  void settle();   // ensure bottom_ nonempty (requires size_ > 0)
+    std::size_t index(Time t) const {
+      return std::min<std::size_t>(
+          static_cast<std::size_t>((t - start) >> shift), buckets.size() - 1);
+    }
+    /// Re-seeds an empty rung over [first, last] (hi = last + 1) with the
+    /// narrowest power-of-two width whose buckets cover it.
+    void reset(Time first, Time last);
+    void advance(std::size_t next);  // sets cur = next and lo to match
+  };
+
+  std::uint32_t park(InlineFn fn);
+  void route(const EventKey& k);
+  void bottom_insert(const EventKey& k);
+  // Moves src[from, end), whose times span [first, last], into a new rung
+  // below the deepest one.
+  void spill(std::vector<EventKey>& src, std::size_t from, Time first,
+             Time last);
+  void settle();   // ensure the bottom is nonempty (requires size_ > 0)
   void rebuild();  // re-seed the calendar from overflow_
 
-  std::vector<CalEvent> bottom_;  // sorted descending; min at back()
-  std::vector<std::vector<CalEvent>> buckets_;  // unsorted slices
-  std::vector<CalEvent> overflow_;              // beyond cal_end_, unsorted
-  Time width_ = 1;        // bucket width in picoseconds
-  Time cal_start_ = 0;    // buckets_ cover [cal_start_, cal_end_)
-  Time cal_end_;
-  Time bottom_end_ = 0;   // bottom_ holds everything below this time
-  std::size_t cur_ = 0;   // next bucket to drain; [0, cur_) are empty
+  std::vector<EventKey> bottom_;  // ascending; live part [head_, size)
+  std::size_t head_ = 0;
+  std::array<Rung, kMaxRungs + 1> rungs_;  // [0] is the calendar
+  std::size_t depth_ = 1;                  // live rungs, calendar included
+  std::vector<EventKey> overflow_;         // at or beyond rungs_[0].hi
+  std::vector<InlineFn> slots_;            // parked closures, by key.slot
+  std::vector<std::uint32_t> free_slots_;
   std::size_t size_ = 0;
+  std::size_t rungs_hw_ = 0;
+  Log2Hist scan_hist_;
 };
 
 /// The original engine event queue: binary-heap std::priority_queue of
@@ -285,27 +357,6 @@ class LegacyHeapQueue {
     }
   };
   std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
-};
-
-/// Dependency-free log2 histogram matching obs::HistData's bucket
-/// convention (bucket index = bit_width(v); zero-valued samples in bucket
-/// 0). sim cannot link obs — obs mirrors gauges into sim::Tracer — so the
-/// engine records locally and World::run merges the buckets into the
-/// metrics registry via obs::Histogram::record_multi.
-struct Log2Hist {
-  std::array<std::uint64_t, 64> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-
-  void record(std::uint64_t v) {
-    ++buckets[static_cast<std::size_t>(std::bit_width(v))];
-    ++count;
-    sum += v;
-    if (count == 1 || v < min) min = v;
-    if (v > max) max = v;
-  }
 };
 
 }  // namespace narma::sim

@@ -13,10 +13,11 @@ namespace narma::sim {
 
 /// Event-queue implementation selection.
 ///
-///  * kCalendar (production): bucketed calendar/ladder queue of pooled
-///    InlineFn events — near-O(1) enqueue for the engine's mostly-monotonic
-///    posting pattern, true move-out pop, no per-event heap allocation for
-///    inline-sized closures (see event_queue.hpp).
+///  * kCalendar (production): ladder queue of 24-byte (time, seq, slot)
+///    keys over parked InlineFn closures — O(1) enqueue for same-time
+///    bursts and the engine's mostly-monotonic posting pattern, a short
+///    sorted bottom for everything else, true move-out pop, no per-event
+///    heap allocation for inline-sized closures (see event_queue.hpp).
 ///  * kLegacyHeap: the original binary-heap std::priority_queue of
 ///    std::function events, kept for ablation (bench/micro_engine.cpp) and
 ///    the equivalence tests. Pays one allocation per posted closure beyond
@@ -46,9 +47,10 @@ struct SimParams {
   /// equivalent by tests/test_sim_engine_props.cpp).
   EventQueue event_queue = EventQueue::kCalendar;
 
-  /// Number of calendar buckets (kCalendar only). Each bucket covers one
-  /// slice of the current calendar window; events are sorted only when
-  /// their bucket becomes current. Must be a power of two.
+  /// Number of calendar buckets (kCalendar only; any value >= 1). Each
+  /// bucket covers one slice of the current calendar window; events are
+  /// sorted only when their bucket becomes current. Finer ladder rungs
+  /// below the calendar have a fixed geometry (CalendarQueue::kRungBuckets).
   std::uint32_t calendar_buckets = 256;
 
   /// Rank execution model (NARMA_EXEC=threads|fibers overrides via World).

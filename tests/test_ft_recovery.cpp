@@ -50,6 +50,7 @@ struct FtRunOutcome {
   ft::FtStats victim;            // the failed rank's recovery stats
   std::vector<Time> times;      // per-rank final virtual times
   std::vector<obs::Journal::Record> journal;
+  std::uint64_t victim_draws = 0;  // fail_draw calls of the victim scans
 };
 
 /// 32x16 notified stencil over 4 ranks, 5 iterations (= recovery epochs),
@@ -85,6 +86,7 @@ FtRunOutcome run_ft_stencil(int ckpt_interval, bool eager_trim,
   for (int r = 0; r < kRanks; ++r)
     out.times.push_back(world.engine().rank(r).now());
   if (world.journal()) out.journal = world.journal()->records();
+  out.victim_draws = world.fabric().faults().victim_draws();
   return out;
 }
 
@@ -112,6 +114,40 @@ TEST(FtRecovery, StencilFailStopRecoversBitIdentical) {
   EXPECT_TRUE(clean.r0.verified);
   EXPECT_EQ(faulty.r0.corner, clean.r0.corner);
   EXPECT_EQ(clean.victim.fails, 0u);
+  // One victim scan per World per epoch, not one per rank: the plan is
+  // consulted at epoch kFailEpoch only (the fail ends the plan), and that
+  // scan stops at the victim.
+  EXPECT_EQ(faulty.victim_draws, static_cast<std::uint64_t>(kVictim + 1));
+  EXPECT_EQ(clean.victim_draws, 0u);
+}
+
+// The memoised victim scan picks the same rank as every rank scanning
+// 0..n-1 itself, and costs at most n draws per epoch however many ranks ask.
+TEST(FtRecovery, VictimScanMatchesLinearScanOncePerEpoch) {
+  for (int nranks : {1, 5, 64}) {
+    for (double rate : {0.005, 0.05, 0.5, 1.0}) {
+      for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        net::FaultParams fp;
+        fp.seed = seed;
+        fp.fail_rate = rate;
+        net::FaultInjector inj(fp, nranks);
+        for (std::uint64_t epoch = 1; epoch <= 40; ++epoch) {
+          int linear = -1;
+          for (int r = 0; r < nranks && linear < 0; ++r)
+            if (inj.fail_draw(r, epoch)) linear = r;
+          const std::uint64_t before = inj.victim_draws();
+          for (int asker = 0; asker < nranks; ++asker)
+            ASSERT_EQ(inj.first_failing(epoch), linear)
+                << "nranks " << nranks << " rate " << rate << " seed "
+                << seed << " epoch " << epoch;
+          const std::uint64_t draws = inj.victim_draws() - before;
+          ASSERT_LE(draws, static_cast<std::uint64_t>(nranks));
+          ASSERT_EQ(draws, static_cast<std::uint64_t>(
+                               linear < 0 ? nranks : linear + 1));
+        }
+      }
+    }
+  }
 }
 
 TEST(FtRecovery, FailStopScheduleIsDeterministic) {

@@ -4,9 +4,9 @@
 // the calendar queue performs **zero heap allocations** in steady state. We
 // verify it with a global counting operator new/delete (this translation
 // unit only — tests run as separate executables, so the replacement cannot
-// perturb other suites). The pool, calendar buckets, and Trigger scratch
-// buffers are warmed by a first round; the measured rounds then assert an
-// allocation delta of exactly zero.
+// perturb other suites). The pool, calendar buckets, closure slot array and
+// Trigger scratch buffers are warmed by a first round; the measured rounds
+// then assert an allocation delta of exactly zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -130,7 +130,8 @@ TEST(EngineAlloc, SteadyStatePostAndDrainIsAllocationFree) {
     if (r.id() == 0) {
       // Phases 0-1 warm every container on the hot path (calendar segments
       // under both the construction-time and the rebuilt bucket geometry,
-      // slab pool, ready heap, trigger waiter/scratch ping-pong); phase 2
+      // closure slots, slab pool, ready heap, trigger waiter/scratch
+      // ping-pong); phase 2
       // replays the identical traffic pattern and must allocate nothing.
       for (int phase = 0; phase < 3; ++phase) {
         const std::uint64_t before = allocs_now();

@@ -1,18 +1,24 @@
 // Property tests of the engine's event and scheduling core.
 //
-// The headline property mirrors the PR-1 linear-vs-indexed matcher test:
-// the legacy binary heap and the calendar queue must produce *identical*
+// The headline property mirrors the linear-vs-indexed matcher test: the
+// legacy binary heap and the calendar queue must produce *identical*
 // executions — same event order, same virtual times, same events_executed —
 // across >= 1000 randomized schedules (random rank counts, event trees with
-// same-time children, yields, interleaved drains). Alongside it live the
-// engine edge cases: events posted exactly at a rank's resume horizon,
-// posting from inside a handler at the same timestamp, batched posts, and
-// the deadlock-dump death test.
+// same-time children, yields, interleaved drains), and across >= 1000
+// burst-heavy schedules aimed at the ladder geometry (same-time fan-outs
+// wider than the spill threshold, near-time fan-outs that spill rungs down
+// to the depth cap, posts earlier than the bottom's head). Alongside them
+// live the engine edge cases: events posted exactly at a rank's resume
+// horizon, posting from inside a handler at the same timestamp, batched
+// posts, the deadlock-dump death test, and (EngineQueueSlow, ctest label
+// `slow`) the 4096-rank barrier burst that bounds the bottom's insert cost.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/world.hpp"
 #include "sim/engine.hpp"
 
 using namespace narma;
@@ -116,7 +122,17 @@ void post_spec(sim::Engine& eng, const Script& sc, int idx, Time t,
   });
 }
 
-RunLog run_script(const Script& sc, sim::SimParams sp) {
+/// Calendar-queue geometry reached by one run (zero under the legacy heap).
+struct QueueStats {
+  std::size_t rungs_hw = 0;
+  std::uint64_t bottom_inserts = 0;
+  std::uint64_t bottom_scan = 0;
+};
+
+/// Runs `sc`; every rank finally yields `tail` past its clock, which must
+/// exceed the longest delay chain of the script so all events execute.
+RunLog run_script(const Script& sc, sim::SimParams sp, Time tail = us(200),
+                  QueueStats* stats = nullptr) {
   sim::Engine eng(sc.nranks, sp);
   RunLog log;
   log.finish.resize(static_cast<std::size_t>(sc.nranks));
@@ -132,12 +148,100 @@ RunLog run_script(const Script& sc, sim::SimParams sp) {
       }
     }
     // Push every rank past the last possible event so all events execute.
-    r.yield_until(r.now() + us(200));
+    r.yield_until(r.now() + tail);
     log.finish[static_cast<std::size_t>(r.id())] = r.now();
   });
   log.events_executed = eng.events_executed();
   log.events_posted = eng.events_posted();
+  if (stats) {
+    stats->rungs_hw = eng.ladder_rungs_high_water();
+    stats->bottom_inserts = eng.bottom_insert_scan_hist().count;
+    stats->bottom_scan = eng.bottom_insert_scan_hist().sum;
+  }
   return log;
+}
+
+// ---------------------------------------------------------------------------
+// Burst-heavy schedules aimed at the ladder geometry (the generic family
+// above rarely fills a bucket past the spill threshold).
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kSpill = sim::CalendarQueue::kSpillKeys;
+// Log-uniform fan-out delays reach below 2^50 ps; a rank's last post sits
+// at most a few microseconds past its final clock.
+constexpr Time kBurstTail = Time{1} << 51;
+
+Script make_burst_script(std::uint64_t seed) {
+  Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ull + 1);
+  Script sc;
+  sc.nranks = 1 + static_cast<int>(rng.next_below(3));
+  sc.ops.resize(static_cast<std::size_t>(sc.nranks));
+  auto fan_out = [&](std::size_t parent, std::size_t n, auto&& delay) {
+    for (std::size_t c = 0; c < n; ++c) {
+      EventSpec child;
+      child.delay = delay();
+      sc.events[parent].children.push_back(static_cast<int>(sc.events.size()));
+      sc.events.push_back(child);
+    }
+  };
+  for (auto& ops : sc.ops) {
+    const std::size_t n_ops = 3 + rng.next_below(10);
+    for (std::size_t i = 0; i < n_ops; ++i) {
+      Op op;
+      switch (rng.next_below(5)) {
+        case 0:
+          op.kind = Op::kAdvance;
+          op.dt = ns(static_cast<double>(rng.next_below(500)));
+          break;
+        case 1: {
+          op.kind = Op::kPost;
+          op.dt = ns(static_cast<double>(rng.next_below(50)));
+          const std::size_t parent = sc.events.size();
+          op.event = static_cast<int>(parent);
+          sc.events.push_back(EventSpec{});
+          switch (rng.next_below(3)) {
+            case 0:  // one handler posts more same-time children than a
+                     // bottom holds before it spills
+              fan_out(parent, kSpill + 1 + rng.next_below(80),
+                      [] { return Time{0}; });
+              break;
+            case 1:  // log-uniform near-time fan-out: each rung resolves
+                     // ~6 bits of delay, so the early keys spill rung after
+                     // rung down to the depth cap
+              fan_out(parent, 150 + rng.next_below(250), [&] {
+                return rng.next_below(Time{1} << rng.next_below(51));
+              });
+              break;
+            default:  // same-time block with picosecond stragglers
+              fan_out(parent, 30 + rng.next_below(60), [&] {
+                return rng.next_below(4) == 0 ? rng.next_below(64) : Time{0};
+              });
+              break;
+          }
+          break;
+        }
+        case 2: {
+          // At (or 1 ps after) the rank's clock: the scheduler has already
+          // settled the bottom on later events, so this lands before its
+          // head.
+          op.kind = Op::kPost;
+          op.dt = rng.next_below(2);
+          op.event = static_cast<int>(sc.events.size());
+          sc.events.push_back(EventSpec{});
+          break;
+        }
+        case 3:
+          op.kind = Op::kYield;
+          op.dt = ns(static_cast<double>(rng.next_below(2000)));
+          break;
+        default:
+          op.kind = Op::kDrain;
+          break;
+      }
+      ops.push_back(op);
+    }
+  }
+  return sc;
 }
 
 TEST(EngineQueueEquivalence, ThousandRandomSchedules) {
@@ -155,6 +259,30 @@ TEST(EngineQueueEquivalence, ThousandRandomSchedules) {
   }
 }
 
+TEST(EngineQueueEquivalence, ThousandBurstSchedules) {
+  sim::SimParams legacy_p;
+  legacy_p.event_queue = sim::EventQueue::kLegacyHeap;
+  sim::SimParams calendar_p;
+  calendar_p.event_queue = sim::EventQueue::kCalendar;
+  std::size_t deepest = 0;
+  std::uint64_t moved = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    const Script sc = make_burst_script(seed);
+    QueueStats qs;
+    const RunLog legacy = run_script(sc, legacy_p, kBurstTail);
+    const RunLog calendar = run_script(sc, calendar_p, kBurstTail, &qs);
+    ASSERT_EQ(legacy, calendar) << "divergence at burst seed " << seed;
+    ASSERT_EQ(legacy.events_executed, legacy.events_posted)
+        << "unexecuted events at burst seed " << seed;
+    deepest = std::max(deepest, qs.rungs_hw);
+    moved += qs.bottom_scan;
+  }
+  // The family reaches what it is aimed at: the rung cap, and inserts that
+  // land inside the sorted bottom rather than appending.
+  EXPECT_EQ(deepest, sim::CalendarQueue::kMaxRungs);
+  EXPECT_GT(moved, 0u);
+}
+
 // Tiny calendars force constant bucket-drain/rebuild churn; order must not
 // change (the calendar geometry is performance-only state).
 TEST(EngineQueueEquivalence, CalendarGeometryIsOrderInvariant) {
@@ -170,6 +298,12 @@ TEST(EngineQueueEquivalence, CalendarGeometryIsOrderInvariant) {
         << "single-bucket divergence at seed " << seed;
     ASSERT_EQ(a, run_script(sc, odd_buckets))
         << "odd-bucket divergence at seed " << seed;
+    const Script bursts = make_burst_script(seed);
+    const RunLog b = run_script(bursts, default_p, kBurstTail);
+    ASSERT_EQ(b, run_script(bursts, one_bucket, kBurstTail))
+        << "single-bucket divergence at burst seed " << seed;
+    ASSERT_EQ(b, run_script(bursts, odd_buckets, kBurstTail))
+        << "odd-bucket divergence at burst seed " << seed;
   }
 }
 
@@ -325,6 +459,28 @@ TEST(EngineDeath, DeadlockDumpsRankStatesAndAborts) {
         });
       },
       "simulation deadlock");
+}
+
+// ---------------------------------------------------------------------------
+// Barrier burst (ctest label `slow`): 4096 ranks enter three dissemination
+// barriers from a common start, so every round posts thousands of deliveries
+// at a handful of nearby instants. A sorted bottom that absorbs such a burst
+// by linear insertion moves thousands of keys per post; the ladder keeps it
+// short. The bound is a count of keys moved, so it does not depend on the
+// host.
+// ---------------------------------------------------------------------------
+
+TEST(EngineQueueSlow, BarrierBurstBottomInsertsStayShort) {
+  World world(4096);
+  world.run([](Rank& self) {
+    for (int i = 0; i < 3; ++i) self.barrier();
+  });
+  const sim::Engine& eng = world.engine();
+  const sim::Log2Hist& scan = eng.bottom_insert_scan_hist();
+  EXPECT_GT(eng.events_posted(), 0u);
+  EXPECT_LE(scan.sum, 64 * eng.events_posted())
+      << scan.count << " bottom inserts moved " << scan.sum << " keys for "
+      << eng.events_posted() << " posts";
 }
 
 }  // namespace

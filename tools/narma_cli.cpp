@@ -237,7 +237,8 @@ void dump_artifacts(World& world, const Args& a) {
 /// Metrics-dump sections of `report` (narma.metrics.v2): whole-family
 /// reductions per kind, top-k outlier ranks, per-rank busy fractions of
 /// the sampled ranks, host-time phase attribution (from --profile runs),
-/// per-backend notification and drain-cost rows, and the obs self-cost.
+/// per-backend notification and drain-cost rows, the engine event queue,
+/// and the obs self-cost.
 int report_metrics(const Args& a) {
   const std::string path = a.get("metrics", "metrics.json");
   const json::ParseResult m = json::parse_file(path);
@@ -428,6 +429,23 @@ int report_metrics(const Args& a) {
       std::printf("\nper-backend notifications (virtual drain cost):\n");
       be_table.print();
     }
+  }
+
+  // Engine event queue: pending-event high-water, ladder rungs below the
+  // calendar, and keys moved aside per insert into the sorted bottom (an
+  // append moves none; DESIGN.md §8).
+  const json::Value& scan = find_fam("sim.bottom_insert_scan");
+  if (scan.is_object()) {
+    const json::Value& ag = scan["aggregate"];
+    std::printf(
+        "\nevent queue: high-water %lld, ladder rungs high-water %lld; "
+        "%lld bottom inserts moved p50 %s / p99 %s / max %lld keys\n",
+        static_cast<long long>(aggregate("sim.event_queue_hw", "high_water")),
+        static_cast<long long>(aggregate("sim.ladder_rungs_hw", "high_water")),
+        static_cast<long long>(ag.number_or("count", 0)),
+        Table::fmt(ag.number_or("p50", 0)).c_str(),
+        Table::fmt(ag.number_or("p99", 0)).c_str(),
+        static_cast<long long>(ag.number_or("max", 0)));
   }
 
   // Obs self-cost: the registry footprint gauge plus the journal depth,
