@@ -20,9 +20,9 @@
 //
 // All calls return FOMPI_SUCCESS; hard errors abort (as NARMA does
 // throughout). The binding is stored on the rank's own execution context
-// (RankCtx::user_data), so every simulated rank binds its own context —
-// including under the fiber engine, where all ranks share one OS thread
-// and a thread_local could not tell them apart.
+// (RankCtx::user_data), so every simulated rank binds its own context:
+// all ranks are fibers sharing one OS thread, so a thread_local could not
+// tell them apart.
 #pragma once
 
 #include <memory>
@@ -78,8 +78,8 @@ struct foMPI_Status {
 namespace detail {
 inline Rank& rank() {
   // The currently running rank context carries its bound Rank in user_data.
-  // Engine::current() is exact in both execution models; a thread_local
-  // would alias every fiber sharing the engine thread.
+  // Engine::current() names the running fiber; a thread_local would alias
+  // every fiber sharing the engine thread.
   sim::RankCtx* ctx = sim::Engine::current();
   NARMA_CHECK(ctx != nullptr)
       << "foMPI_* functions must be called from rank code";

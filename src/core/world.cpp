@@ -13,17 +13,8 @@ namespace narma {
 namespace {
 
 WorldParams resolve_params(WorldParams p) {
-  // Ablation override (see WorldParams::sim). Malformed or unknown values
-  // of any NARMA_* knob below are fatal (common/env.hpp).
-  const std::string q =
-      env::get_choice("NARMA_EVENT_QUEUE", {"legacy", "calendar"});
-  if (q == "legacy") p.sim.event_queue = sim::EventQueue::kLegacyHeap;
-  if (q == "calendar") p.sim.event_queue = sim::EventQueue::kCalendar;
-  // Execution-model override (see sim::ExecModel); NARMA_STACK_KB resizes
-  // the per-rank fiber stack.
-  const std::string ex = env::get_choice("NARMA_EXEC", {"threads", "fibers"});
-  if (ex == "threads") p.sim.exec_model = sim::ExecModel::kThreads;
-  if (ex == "fibers") p.sim.exec_model = sim::ExecModel::kFibers;
+  // Malformed or unknown values of any NARMA_* knob below are fatal
+  // (common/env.hpp). NARMA_STACK_KB resizes the per-rank fiber stack.
   const std::int64_t stack_kb = env::get_int(
       "NARMA_STACK_KB", static_cast<std::int64_t>(p.sim.stack_bytes / 1024));
   if (stack_kb > 0) p.sim.stack_bytes = static_cast<std::size_t>(stack_kb) * 1024;
@@ -181,15 +172,17 @@ void World::run(const std::function<void(Rank&)>& rank_main) {
   metrics_->gauge("sim.event_pool_oversize", 0)
       .set(static_cast<std::int64_t>(pool.oversize), t_end);
   // Queue depth sampled at each pop and keys moved aside per sorted-bottom
-  // insert, merged bucket-wise (the engine cannot link obs, so it records
-  // into its own log2 histograms).
+  // insert. The engine cannot link obs, so it records into its own log2
+  // histograms; both use the same buckets, and the exact count, sum, min
+  // and max carry over with them.
   auto merge = [&](const char* name, const sim::Log2Hist& h) {
-    obs::Histogram dst = metrics_->histogram(name, 0);
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (!h.buckets[i]) continue;
-      const std::uint64_t rep = i == 0 ? 0 : (1ull << (i - 1));
-      dst.record_multi(rep, h.buckets[i]);
-    }
+    obs::HistData d;
+    d.buckets = h.buckets;
+    d.count = h.count;
+    d.sum = h.sum;
+    d.min = h.min;
+    d.max = h.max;
+    metrics_->histogram(name, 0).merge(d);
   };
   merge("sim.queue_depth_at_pop", engine_->pop_depth_hist());
   merge("sim.bottom_insert_scan", engine_->bottom_insert_scan_hist());

@@ -6,8 +6,7 @@
 // every later rank of the same collective gets the same object. The message
 // schedule is untouched — only host storage is shared (DESIGN.md §16).
 //
-// No locking: ranks run one at a time under the engine's one-runnable-
-// context invariant, in both execution models.
+// No locking: ranks run one at a time, as fibers on the one engine thread.
 #pragma once
 
 #include <cstddef>

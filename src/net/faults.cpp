@@ -31,8 +31,12 @@ FaultInjector::FaultInjector(const FaultParams& params, int nranks)
   // Time arithmetic; delay_max == 0 would wrap to an astronomical delay.
   NARMA_CHECK(params_.delay_rate == 0 || params_.delay_max >= 1)
       << "FaultParams::delay_max must be >= 1 when delay_rate > 0";
-  transfer_seq_.assign(static_cast<std::size_t>(nranks), 0);
-  pressure_seq_.assign(static_cast<std::size_t>(nranks), 0);
+  // Only an enabled injector is drawn from (fabric.cpp and nic.cpp check
+  // enabled() first), so fault-free and fail-only plans skip the counters.
+  if (enabled_) {
+    transfer_seq_.assign(static_cast<std::size_t>(nranks), 0);
+    pressure_seq_.assign(static_cast<std::size_t>(nranks), 0);
+  }
 }
 
 double FaultInjector::uniform(std::uint64_t rank, std::uint64_t seq,
@@ -46,6 +50,7 @@ double FaultInjector::uniform(std::uint64_t rank, std::uint64_t seq,
 }
 
 FaultInjector::TransferFaults FaultInjector::next_transfer(int src) {
+  NARMA_ASSERT(enabled_);
   TransferFaults f;
   const auto r = static_cast<std::size_t>(src);
   const std::uint64_t seq = transfer_seq_[r]++;
@@ -63,6 +68,7 @@ FaultInjector::TransferFaults FaultInjector::next_transfer(int src) {
 }
 
 bool FaultInjector::next_pressure(int rank) {
+  NARMA_ASSERT(enabled_);
   if (params_.pressure_rate <= 0) return false;
   const auto r = static_cast<std::size_t>(rank);
   return uniform(r, pressure_seq_[r]++, 4) < params_.pressure_rate;

@@ -51,11 +51,12 @@ class FaultInjector {
   const FaultParams& params() const { return params_; }
 
   /// Draws the fault plan entry for the next transfer injected by `src`.
+  /// Requires enabled().
   TransferFaults next_transfer(int src);
 
   /// Draws whether the next first-attempt delivery into one of `rank`'s
   /// queues is forced to report "full" (overflow pressure). Consulted only
-  /// under the backpressure policy.
+  /// under the backpressure policy. Requires enabled().
   bool next_pressure(int rank);
 
   /// Whole-rank fail-stop draw: true when `rank` is scheduled to fail at
@@ -88,8 +89,8 @@ class FaultInjector {
   bool victim_valid_ = false;       // ... once the first scan ran
   int victim_ = -1;
   std::uint64_t victim_draws_ = 0;
-  std::vector<std::uint64_t> transfer_seq_;  // per source rank
-  std::vector<std::uint64_t> pressure_seq_;  // per destination rank
+  std::vector<std::uint64_t> transfer_seq_;  // per source rank; if enabled_
+  std::vector<std::uint64_t> pressure_seq_;  // per destination rank; ditto
 };
 
 class FlowControl {

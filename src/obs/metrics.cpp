@@ -22,16 +22,6 @@ void HistData::record(std::uint64_t v) {
   if (v > max) max = v;
 }
 
-void HistData::record_multi(std::uint64_t v, std::uint64_t n) {
-  if (n == 0) return;
-  buckets[static_cast<std::size_t>(std::bit_width(v))] += n;
-  const bool first = count == 0;
-  count += n;
-  sum += v * n;
-  if (first || v < min) min = v;
-  if (v > max) max = v;
-}
-
 void HistData::merge(const HistData& o) {
   if (o.count == 0) return;
   for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];

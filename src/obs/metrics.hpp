@@ -13,8 +13,8 @@
 // Handles are cheap value types the instrumented layers cache at
 // construction: a disengaged handle (metrics off) makes every hook a single
 // branch, an engaged one a branch plus a plain increment. Plain (non-atomic)
-// arithmetic is correct here because the simulation engine runs at most one
-// thread at any instant; the semaphore handoffs give the needed ordering.
+// arithmetic is correct here because the whole simulation runs on the one
+// engine thread.
 //
 // When a sim::Tracer is attached, every gauge change of a sampled rank is
 // mirrored as a Chrome trace-event "C" (counter) sample, so Perfetto shows
@@ -77,9 +77,6 @@ struct HistData {
   std::uint64_t max = 0;
 
   void record(std::uint64_t v);
-  /// Records `n` samples of value `v` in O(1) — used to merge pre-bucketed
-  /// histograms (e.g. the engine's pop-depth counts) into the registry.
-  void record_multi(std::uint64_t v, std::uint64_t n);
   /// Adds `o` into this histogram. Log2 buckets merge exactly: the merged
   /// histogram equals the histogram of the concatenated sample streams,
   /// which is what keeps the sampled + remainder family merge exact.
@@ -173,11 +170,12 @@ class Histogram {
     hist_->record(v);
     if (v > *max_) *max_ = v;
   }
-  /// Bulk merge: `n` samples of value `v` in O(1).
-  void record_multi(std::uint64_t v, std::uint64_t n) {
-    if (!hist_ || n == 0) return;
-    hist_->record_multi(v, n);
-    if (v > *max_) *max_ = v;
+  /// Bulk merge of a whole histogram recorded elsewhere (the engine's
+  /// pop-depth and bottom-insert counts), exact in every field.
+  void merge(const HistData& h) {
+    if (!hist_ || h.count == 0) return;
+    hist_->merge(h);
+    if (h.max > *max_) *max_ = h.max;
   }
   void record_time(Time dt) { record(static_cast<std::uint64_t>(to_ns(dt))); }
   /// The histogram this handle records into: the rank's own for a sampled

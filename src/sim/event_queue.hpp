@@ -1,7 +1,6 @@
 // Event storage for the discrete-event engine's hottest loop.
 //
-// Four pieces (the queue is selected via SimParams::event_queue, see
-// params.hpp):
+// Three pieces:
 //
 //  * InlineFn — a move-only callable with 48 bytes of inline storage. The
 //    common NIC-delivery closures (a handful of pointers and integers) are
@@ -15,13 +14,11 @@
 //    over 24-byte (time, seq, slot) keys. The closure is parked once in a
 //    recycled slot array and moved out once, at pop; every bucket, rung,
 //    overflow list and the sorted bottom moves only keys.
-//  * LegacyHeapQueue — the original std::priority_queue of std::function
-//    events, preserved bit-for-bit (including the closure copy on pop) for
-//    ablation and the equivalence property tests.
 //
-// Total order: (time, seq) ascending, identical across both queues; the
-// engine assigns seq from a single counter, so execution order — and with
-// it every virtual-time result — is bit-identical regardless of the queue.
+// Total order: (time, seq) ascending; the engine assigns seq from a single
+// counter, so execution order — and with it every virtual-time result — is
+// the one a binary heap on (time, seq) would give, whatever the ladder's
+// geometry.
 #pragma once
 
 #include <algorithm>
@@ -29,11 +26,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -44,7 +39,7 @@
 namespace narma::sim {
 
 /// Slab allocator for event closures that overflow InlineFn's inline
-/// buffer. Single-threaded by the engine's one-runnable-thread invariant.
+/// buffer. Single-threaded: only the engine thread posts and pops.
 class EventPool {
  public:
   struct Stats {
@@ -173,8 +168,8 @@ class InlineFn {
 /// Dependency-free log2 histogram matching obs::HistData's bucket
 /// convention (bucket index = bit_width(v); zero-valued samples in bucket
 /// 0). sim cannot link obs — obs mirrors gauges into sim::Tracer — so the
-/// engine records locally and World::run merges the buckets into the
-/// metrics registry via obs::Histogram::record_multi.
+/// engine records locally and World::run merges the buckets and the exact
+/// count/sum/min/max into the metrics registry via obs::Histogram::merge.
 struct Log2Hist {
   std::array<std::uint64_t, 64> buckets{};
   std::uint64_t count = 0;
@@ -240,15 +235,6 @@ class CalendarQueue {
   void push(Time t, std::uint64_t seq, InlineFn fn) {
     route(EventKey{t, seq, park(std::move(fn))});
     ++size_;
-  }
-
-  /// Posts `n` closures at one timestamp with consecutive sequence numbers;
-  /// each is routed like a single push (same-time keys after the first
-  /// append behind it).
-  void push_batch(Time t, std::uint64_t first_seq, InlineFn* fns,
-                  std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i)
-      push(t, first_seq + i, std::move(fns[i]));
   }
 
   /// Smallest pending (time); requires !empty().
@@ -319,44 +305,6 @@ class CalendarQueue {
   std::size_t size_ = 0;
   std::size_t rungs_hw_ = 0;
   Log2Hist scan_hist_;
-};
-
-/// The original engine event queue: binary-heap std::priority_queue of
-/// std::function closures. Selected by SimParams::event_queue =
-/// EventQueue::kLegacyHeap for ablation and equivalence testing.
-class LegacyHeapQueue {
- public:
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  Time top_time() const { return heap_.top().time; }
-
-  void push(Time t, std::uint64_t seq, std::function<void()> fn) {
-    heap_.push(Ev{t, seq, std::move(fn)});
-  }
-
-  /// The legacy pop. priority_queue::top() is const and moving out via
-  /// const_cast is UB-adjacent, so this path keeps the original closure
-  /// *copy* (cheap for small captures: one shared allocation at most) —
-  /// documented and preserved behind the param; the calendar queue is the
-  /// one with true move-out pops.
-  std::function<void()> pop_copy() {
-    std::function<void()> fn = heap_.top().fn;
-    heap_.pop();
-    return fn;
-  }
-
- private:
-  struct Ev {
-    Time time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Ev& a, const Ev& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
 };
 
 }  // namespace narma::sim

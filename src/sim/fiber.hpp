@@ -4,9 +4,8 @@
 // committed, guard-paged stack plus the saved callee-saved register state of
 // a suspended computation. The engine multiplexes every simulated rank onto
 // the single engine thread with them, so a block/resume costs two in-process
-// context switches (~tens of ns) instead of the two semaphore syscall
-// round-trips of the one-OS-thread-per-rank model — the difference between
-// 32 ranks and 4096+ ranks being practical (see DESIGN.md §8).
+// context switches (~tens of ns) and a rank's stack only the pages it
+// touches — which is what makes 4096+ ranks practical (see DESIGN.md §8).
 //
 // Mechanics:
 //

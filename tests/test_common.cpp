@@ -185,10 +185,6 @@ TEST(Env, WorldRejectsMalformedKnobs) {
   };
   EXPECT_DEATH(world_with("NARMA_TRANSPORT", "shm"),
                "NARMA_TRANSPORT=\"shm\"; accepted: aries.ramc.verbs");
-  EXPECT_DEATH(world_with("NARMA_EVENT_QUEUE", "heap"),
-               "NARMA_EVENT_QUEUE=\"heap\"; accepted: legacy.calendar");
-  EXPECT_DEATH(world_with("NARMA_EXEC", "procs"),
-               "NARMA_EXEC=\"procs\"; accepted: threads.fibers");
   EXPECT_DEATH(world_with("NARMA_OVERFLOW", "drop"),
                "NARMA_OVERFLOW=\"drop\"; accepted: fatal.backpressure");
   EXPECT_DEATH(world_with("NARMA_FAULT_DROP", "0.05x"),

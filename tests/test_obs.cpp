@@ -1,12 +1,15 @@
 // Tests of the unified metrics layer: registry/handle semantics, the stable
 // narma.metrics.v2 JSON schema, the gauge -> tracer counter-track bridge,
-// and the fully disabled path (WorldParams::enable_metrics = false).
+// the exact merge of the engine's own histograms, and the fully disabled
+// path (WorldParams::enable_metrics = false).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
 
+#include "apps/stencil.hpp"
 #include "common/json.hpp"
 #include "core/world.hpp"
 #include "obs/metrics.hpp"
@@ -317,6 +320,36 @@ TEST(ObsWorld, DumpRoundTripsAgainstLiveRegistry) {
   }
   for (const std::string& n : live)
     EXPECT_TRUE(dumped.count(n)) << "dump dropped metric " << n;
+}
+
+// The engine records queue depth at pop and keys moved per bottom insert in
+// its own log2 histograms; World::run must carry them into the registry
+// exact in every field, not as bucket floors.
+TEST(ObsWorld, EngineHistogramsMergeExactly) {
+  World world(4);
+  apps::StencilConfig cfg;
+  cfg.rows = 16;
+  cfg.total_cols = 16;
+  cfg.iters = 2;
+  cfg.variant = apps::StencilVariant::kNotified;
+  cfg.per_point = ns(2);
+  world.run([&](Rank& self) { apps::run_stencil(self, cfg); });
+  const sim::Engine& eng = world.engine();
+  const obs::Registry* reg = world.metrics();
+  ASSERT_NE(reg, nullptr);
+  const std::pair<const char*, const sim::Log2Hist*> hists[] = {
+      {"sim.queue_depth_at_pop", &eng.pop_depth_hist()},
+      {"sim.bottom_insert_scan", &eng.bottom_insert_scan_hist()}};
+  for (const auto& [name, want] : hists) {
+    SCOPED_TRACE(name);
+    const obs::HistData got = reg->aggregate_hist(name);
+    EXPECT_GT(want->count, 0u);
+    EXPECT_EQ(got.buckets, want->buckets);
+    EXPECT_EQ(got.count, want->count);
+    EXPECT_EQ(got.sum, want->sum);
+    EXPECT_EQ(got.min, want->min);
+    EXPECT_EQ(got.max, want->max);
+  }
 }
 
 TEST(ObsWorld, DisabledMetricsStillRuns) {

@@ -1,20 +1,23 @@
 // Property tests of the engine's event and scheduling core.
 //
-// The headline property mirrors the linear-vs-indexed matcher test: the
-// legacy binary heap and the calendar queue must produce *identical*
-// executions — same event order, same virtual times, same events_executed —
-// across >= 1000 randomized schedules (random rank counts, event trees with
-// same-time children, yields, interleaved drains), and across >= 1000
-// burst-heavy schedules aimed at the ladder geometry (same-time fan-outs
-// wider than the spill threshold, near-time fan-outs that spill rungs down
-// to the depth cap, posts earlier than the bottom's head). Alongside them
-// live the engine edge cases: events posted exactly at a rank's resume
-// horizon, posting from inside a handler at the same timestamp, batched
-// posts, the deadlock-dump death test, and (EngineQueueSlow, ctest label
-// `slow`) the 4096-rank barrier burst that bounds the bottom's insert cost.
+// The headline property: every event the ladder queue pops is the minimum
+// (time, seq) of the events pending at that instant, as a shadow ordered set
+// records them — so execution is exactly what a binary heap on (time, seq)
+// would give. It is checked over >= 1000 randomized schedules (random rank
+// counts, event trees with same-time children, yields, interleaved drains)
+// and >= 1000 burst-heavy schedules aimed at the ladder geometry (same-time
+// fan-outs wider than the spill threshold, near-time fan-outs that spill
+// rungs down to the depth cap, posts earlier than the bottom's head).
+// Alongside them live the engine edge cases: events posted exactly at a
+// rank's resume horizon, posting from inside a handler at the same
+// timestamp, batched posts, the deadlock-dump death test, and
+// (EngineQueueSlow, ctest label `slow`) the 4096-rank barrier burst that
+// bounds the bottom's insert cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,9 +29,9 @@ using namespace narma;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Randomized-schedule equivalence harness. A schedule is generated from a
-// seed *before* execution (so both engine configurations replay exactly the
-// same program): per-rank op lists (advance / post / yield / drain) plus a
+// Randomized-schedule harness. A schedule is generated from a seed *before*
+// execution (so every engine configuration replays exactly the same
+// program): per-rank op lists (advance / post / yield / drain) plus a
 // tree of event specs whose children repost at relative delays (including
 // zero, i.e. same-timestamp posting from inside a handler).
 // ---------------------------------------------------------------------------
@@ -107,22 +110,37 @@ struct RunLog {
   std::vector<Time> finish;                // per-rank final clock
   std::uint64_t events_executed = 0;
   std::uint64_t events_posted = 0;
+  std::uint64_t misordered = 0;  // pops that were not the pending minimum
 
   bool operator==(const RunLog&) const = default;
 };
 
-void post_spec(sim::Engine& eng, const Script& sc, int idx, Time t,
-               RunLog& log) {
-  eng.post(t, [&eng, &sc, idx, t, &log] {
-    log.exec.emplace_back(idx, t);
-    const EventSpec& ev = sc.events[static_cast<std::size_t>(idx)];
+/// One run's state shared by its handlers. `pending` shadows the queue as
+/// (time, seq) keys: a post inserts its key, a handler checks that its key
+/// is the minimum and erases it. Seqs are unique, so a run in which every
+/// pop is the minimum executes exactly the binary-heap order.
+struct RunCtx {
+  sim::Engine& eng;
+  const Script& sc;
+  RunLog log;
+  std::set<std::pair<Time, std::uint64_t>> pending;
+};
+
+void post_spec(RunCtx& rc, int idx, Time t) {
+  const std::uint64_t seq = rc.eng.events_posted();  // the seq post() takes
+  rc.pending.emplace(t, seq);
+  rc.eng.post(t, [&rc, idx, t, seq] {
+    if (rc.pending.empty() || *rc.pending.begin() != std::pair{t, seq})
+      ++rc.log.misordered;
+    rc.pending.erase({t, seq});
+    rc.log.exec.emplace_back(idx, t);
+    const EventSpec& ev = rc.sc.events[static_cast<std::size_t>(idx)];
     for (int c : ev.children)
-      post_spec(eng, sc, c,
-                t + sc.events[static_cast<std::size_t>(c)].delay, log);
+      post_spec(rc, c, t + rc.sc.events[static_cast<std::size_t>(c)].delay);
   });
 }
 
-/// Calendar-queue geometry reached by one run (zero under the legacy heap).
+/// Ladder geometry reached by one run.
 struct QueueStats {
   std::size_t rungs_hw = 0;
   std::uint64_t bottom_inserts = 0;
@@ -134,15 +152,14 @@ struct QueueStats {
 RunLog run_script(const Script& sc, sim::SimParams sp, Time tail = us(200),
                   QueueStats* stats = nullptr) {
   sim::Engine eng(sc.nranks, sp);
-  RunLog log;
+  RunCtx rc{eng, sc, {}, {}};
+  RunLog& log = rc.log;
   log.finish.resize(static_cast<std::size_t>(sc.nranks));
   eng.run([&](sim::RankCtx& r) {
     for (const Op& op : sc.ops[static_cast<std::size_t>(r.id())]) {
       switch (op.kind) {
         case Op::kAdvance: r.advance(op.dt); break;
-        case Op::kPost:
-          post_spec(r.engine(), sc, op.event, r.now() + op.dt, log);
-          break;
+        case Op::kPost: post_spec(rc, op.event, r.now() + op.dt); break;
         case Op::kYield: r.yield_until(r.now() + op.dt); break;
         case Op::kDrain: r.drain(); break;
       }
@@ -245,34 +262,22 @@ Script make_burst_script(std::uint64_t seed) {
 }
 
 TEST(EngineQueueEquivalence, ThousandRandomSchedules) {
-  sim::SimParams legacy_p;
-  legacy_p.event_queue = sim::EventQueue::kLegacyHeap;
-  sim::SimParams calendar_p;
-  calendar_p.event_queue = sim::EventQueue::kCalendar;
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
-    const Script sc = make_script(seed);
-    const RunLog legacy = run_script(sc, legacy_p);
-    const RunLog calendar = run_script(sc, calendar_p);
-    ASSERT_EQ(legacy, calendar) << "divergence at seed " << seed;
-    ASSERT_EQ(legacy.events_executed, legacy.events_posted)
+    const RunLog log = run_script(make_script(seed), {});
+    ASSERT_EQ(log.misordered, 0u) << "out-of-order pop at seed " << seed;
+    ASSERT_EQ(log.events_executed, log.events_posted)
         << "unexecuted events at seed " << seed;
   }
 }
 
 TEST(EngineQueueEquivalence, ThousandBurstSchedules) {
-  sim::SimParams legacy_p;
-  legacy_p.event_queue = sim::EventQueue::kLegacyHeap;
-  sim::SimParams calendar_p;
-  calendar_p.event_queue = sim::EventQueue::kCalendar;
   std::size_t deepest = 0;
   std::uint64_t moved = 0;
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
-    const Script sc = make_burst_script(seed);
     QueueStats qs;
-    const RunLog legacy = run_script(sc, legacy_p, kBurstTail);
-    const RunLog calendar = run_script(sc, calendar_p, kBurstTail, &qs);
-    ASSERT_EQ(legacy, calendar) << "divergence at burst seed " << seed;
-    ASSERT_EQ(legacy.events_executed, legacy.events_posted)
+    const RunLog log = run_script(make_burst_script(seed), {}, kBurstTail, &qs);
+    ASSERT_EQ(log.misordered, 0u) << "out-of-order pop at burst seed " << seed;
+    ASSERT_EQ(log.events_executed, log.events_posted)
         << "unexecuted events at burst seed " << seed;
     deepest = std::max(deepest, qs.rungs_hw);
     moved += qs.bottom_scan;
@@ -308,22 +313,13 @@ TEST(EngineQueueEquivalence, CalendarGeometryIsOrderInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge cases, run under both queue implementations.
+// Edge cases.
 // ---------------------------------------------------------------------------
-
-class EngineEdge : public ::testing::TestWithParam<sim::EventQueue> {
- protected:
-  sim::SimParams params() const {
-    sim::SimParams sp;
-    sp.event_queue = GetParam();
-    return sp;
-  }
-};
 
 // An event posted exactly at a rank's resume horizon executes before the
 // rank resumes (hardware-before-software at equal instants).
-TEST_P(EngineEdge, EventExactlyAtResumeHorizonRunsFirst) {
-  sim::Engine eng(2, params());
+TEST(EngineEdge, EventExactlyAtResumeHorizonRunsFirst) {
+  sim::Engine eng(2);
   bool fired = false;
   eng.run([&](sim::RankCtx& r) {
     if (r.id() == 0) {
@@ -340,8 +336,8 @@ TEST_P(EngineEdge, EventExactlyAtResumeHorizonRunsFirst) {
 
 // post() from inside a handler at the handler's own timestamp: the child
 // executes within the same drain, after the parent, before any later event.
-TEST_P(EngineEdge, PostFromHandlerAtSameTimestamp) {
-  sim::Engine eng(1, params());
+TEST(EngineEdge, PostFromHandlerAtSameTimestamp) {
+  sim::Engine eng(1);
   std::vector<int> order;
   eng.run([&](sim::RankCtx& r) {
     r.engine().post(us(2), [&] { order.push_back(99); });
@@ -359,8 +355,8 @@ TEST_P(EngineEdge, PostFromHandlerAtSameTimestamp) {
 
 // post_batch schedules at one timestamp in argument order, interleaving
 // correctly with singly-posted events at the same time.
-TEST_P(EngineEdge, PostBatchKeepsArgumentOrder) {
-  sim::Engine eng(1, params());
+TEST(EngineEdge, PostBatchKeepsArgumentOrder) {
+  sim::Engine eng(1);
   std::vector<int> order;
   eng.run([&](sim::RankCtx& r) {
     r.engine().post(us(1), [&] { order.push_back(0); });
@@ -379,8 +375,8 @@ TEST_P(EngineEdge, PostBatchKeepsArgumentOrder) {
 // A waiter woken inside a handler that immediately re-waits must not be
 // lost when the trigger is notified again (the notify scratch-buffer swap
 // must leave the waiter list usable during the wake sweep).
-TEST_P(EngineEdge, RewaitingWokenRankIsNotLost) {
-  sim::Engine eng(2, params());
+TEST(EngineEdge, RewaitingWokenRankIsNotLost) {
+  sim::Engine eng(2);
   sim::Trigger trg;
   int phase = 0;
   eng.run([&](sim::RankCtx& r) {
@@ -407,8 +403,8 @@ TEST_P(EngineEdge, RewaitingWokenRankIsNotLost) {
 
 // Steady-state notify with churning waiters must not leak wakeups across
 // notify calls (scratch reuse).
-TEST_P(EngineEdge, RepeatedNotifyWakesEachRegistrationOnce) {
-  sim::Engine eng(4, params());
+TEST(EngineEdge, RepeatedNotifyWakesEachRegistrationOnce) {
+  sim::Engine eng(4);
   sim::Trigger trg;
   int round = 0;
   constexpr int kRounds = 64;
@@ -432,24 +428,12 @@ TEST_P(EngineEdge, RepeatedNotifyWakesEachRegistrationOnce) {
   EXPECT_EQ(round, kRounds);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothQueues, EngineEdge,
-                         ::testing::Values(sim::EventQueue::kLegacyHeap,
-                                           sim::EventQueue::kCalendar),
-                         [](const auto& info) {
-                           return info.param == sim::EventQueue::kCalendar
-                                      ? "calendar"
-                                      : "legacy";
-                         });
-
 // ---------------------------------------------------------------------------
 // Deadlock dump (death test): a rank blocked on a never-notified trigger
 // with no pending events must abort with the diagnostic state dump.
 // ---------------------------------------------------------------------------
 
 TEST(EngineDeath, DeadlockDumpsRankStatesAndAborts) {
-  // The engine spawns rank threads; fork-after-thread needs the re-exec'ing
-  // death-test style.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
         sim::Engine eng(2);
