@@ -5,65 +5,19 @@
 #include <map>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "common/fatal.hpp"
 
 namespace narma {
 
 namespace {
 
-WorldParams resolve_params(WorldParams p) {
-  // Malformed or unknown values of any NARMA_* knob below are fatal
-  // (common/env.hpp). NARMA_STACK_KB resizes the per-rank fiber stack.
-  const std::int64_t stack_kb = env::get_int(
-      "NARMA_STACK_KB", static_cast<std::int64_t>(p.sim.stack_bytes / 1024));
-  if (stack_kb > 0) p.sim.stack_bytes = static_cast<std::size_t>(stack_kb) * 1024;
-  // Fault-model overrides (see net::FaultParams and DESIGN.md §10).
-  const std::string o =
-      env::get_choice("NARMA_OVERFLOW", {"fatal", "backpressure"});
-  if (o == "fatal")
-    p.fabric.faults.overflow_policy = net::OverflowPolicy::kFatal;
-  if (o == "backpressure")
-    p.fabric.faults.overflow_policy = net::OverflowPolicy::kBackpressure;
-  // Inter-node transport backend (see net::TransportBackend and DESIGN.md
-  // §11). shm is not a valid inter-node transport, so it is not accepted.
-  const std::string tr =
-      env::get_choice("NARMA_TRANSPORT", {"aries", "ramc", "verbs"});
-  if (tr == "aries") p.fabric.inter_node = net::BackendKind::kAries;
-  if (tr == "ramc") p.fabric.inter_node = net::BackendKind::kRamc;
-  if (tr == "verbs") p.fabric.inter_node = net::BackendKind::kVerbs;
-  net::FaultParams& f = p.fabric.faults;
-  f.seed = static_cast<std::uint64_t>(
-      env::get_int("NARMA_FAULT_SEED", static_cast<std::int64_t>(f.seed)));
-  f.drop_rate = env::get_double("NARMA_FAULT_DROP", f.drop_rate);
-  f.delay_rate = env::get_double("NARMA_FAULT_DELAY", f.delay_rate);
-  f.stall_rate = env::get_double("NARMA_FAULT_STALL", f.stall_rate);
-  f.pressure_rate = env::get_double("NARMA_FAULT_PRESSURE", f.pressure_rate);
-  // Fail-stop plan (DESIGN.md §15): consulted only by the ft layer at epoch
-  // boundaries, so these leave transfer timing untouched.
-  f.fail_rate = env::get_double("NARMA_FT_FAIL_RATE", f.fail_rate);
-  f.max_fails = static_cast<int>(
-      env::get_int("NARMA_FT_MAX_FAILS", f.max_fails));
-  // Observability overrides (DESIGN.md §14).
-  p.obs.outlier_k = static_cast<int>(
-      env::get_int("NARMA_OBS_OUTLIER_K", p.obs.outlier_k));
-  p.obs.sample_ranks = static_cast<int>(
-      env::get_int("NARMA_OBS_SAMPLE_RANKS", p.obs.sample_ranks));
-  const std::int64_t jcap = env::get_int(
-      "NARMA_OBS_JOURNAL_CAP",
-      static_cast<std::int64_t>(p.obs.journal_capacity));
-  p.obs.journal_capacity =
-      jcap > 0 ? static_cast<std::size_t>(jcap) : 0;
-  return p;
-}
-
-// Crash hook (NARMA_CRASH_DIR): on a fatal error, dump whatever telemetry
-// this world holds so the failure is diagnosable post-mortem. Reuses the
-// regular dump paths — they only read state owned by the (still-live) world.
+// Crash hook (ObsParams::crash_dir): on a fatal error, dump whatever
+// telemetry this world holds so the failure is diagnosable post-mortem.
+// Reuses the regular dump paths — they only read state owned by the
+// (still-live) world.
 void world_crash_dump(void* world) {
   auto* w = static_cast<World*>(world);
-  const std::string dir = env::get_string("NARMA_CRASH_DIR", "");
-  if (dir.empty()) return;
+  const std::string& dir = w->params().obs.crash_dir;
   w->dump_metrics(dir + "/crash_metrics.json");
   w->dump_trace(dir + "/crash_trace.json");
   w->dump_msgtrace(dir + "/crash_msgtrace.json");
@@ -77,7 +31,7 @@ void world_crash_dump(void* world) {
 }  // namespace
 
 World::World(int nranks, WorldParams params)
-    : params_(resolve_params(std::move(params))),
+    : params_(std::move(params)),
       engine_(std::make_unique<sim::Engine>(nranks, params_.sim)),
       metrics_(params_.enable_metrics
                    ? std::make_unique<obs::Registry>(nranks, params_.obs)
@@ -91,7 +45,7 @@ World::World(int nranks, WorldParams params)
   }
   if (params_.obs.msgtrace) enable_msgtrace();
   if (params_.obs.timeseries) enable_timeseries();
-  if (!env::get_string("NARMA_CRASH_DIR", "").empty())
+  if (!params_.obs.crash_dir.empty())
     register_crash_hook(&world_crash_dump, this);
 }
 

@@ -38,8 +38,9 @@
 namespace narma {
 
 struct WorldParams {
-  /// Simulator-core knobs (calendar sizing, fiber stack size;
-  /// NARMA_STACK_KB overrides the latter at World construction).
+  /// Simulator-core knobs (calendar sizing, fiber stack size). World uses
+  /// every params struct exactly as given: the library reads no
+  /// environment.
   sim::SimParams sim;
   net::FabricParams fabric;
   mp::MpParams mp;

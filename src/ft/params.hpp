@@ -11,12 +11,15 @@
 
 namespace narma::ft {
 
-/// Recovery-protocol knobs. Environment overrides (NARMA_FT_*) are applied
-/// by from_env(); the fail-stop schedule itself lives in
-/// net::FaultParams::fail_rate / max_fails (NARMA_FT_FAIL_RATE /
-/// NARMA_FT_MAX_FAILS, resolved by World) because the draw belongs to the
+/// Recovery-protocol knobs. The fail-stop schedule itself lives in
+/// net::FaultParams::fail_rate / max_fails because the draw belongs to the
 /// seeded fault plan, not to the recovery policy.
 struct FtParams {
+  /// Upper bound on logged-but-untrimmed notifications per rank; exceeding
+  /// it is fatal (the log is the recovery guarantee, silently dropping
+  /// entries would corrupt a future replay).
+  static constexpr std::size_t kLogCapacity = 4096;
+
   /// Master switch: apps branch into their ft drivers only when set, so the
   /// default path stays byte-identical to the pre-ft build.
   bool enabled = false;
@@ -41,22 +44,11 @@ struct FtParams {
   /// pin the failure instant while sweeping the checkpoint interval.
   std::uint64_t min_fail_epoch = 1;
 
-  /// Upper bound on logged-but-untrimmed notifications per rank; exceeding
-  /// it is fatal (the log is the recovery guarantee, silently dropping
-  /// entries would corrupt a future replay).
-  std::size_t log_capacity = 4096;
-
   /// Trim the notification log at each checkpoint (entries from
   /// checkpointed epochs can never be replayed again). Disabling keeps
   /// stale entries around, which the replay dedupe must then reject —
   /// tests use this to exercise the dedupe path.
   bool eager_trim = true;
-
-  /// Resolves NARMA_FT, NARMA_FT_RECOVER, NARMA_FT_INTERVAL,
-  /// NARMA_FT_PARTNER_OFFSET, NARMA_FT_RESTART_US, NARMA_FT_MIN_FAIL_EPOCH,
-  /// NARMA_FT_LOG_CAP, NARMA_FT_TRIM on top of the given defaults.
-  static FtParams from_env(FtParams p);
-  static FtParams from_env() { return from_env(FtParams()); }
 };
 
 /// Per-rank recovery statistics, surfaced by the apps and mirrored into the

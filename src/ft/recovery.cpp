@@ -3,26 +3,9 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/env.hpp"
 #include "obs/journal.hpp"
 
 namespace narma::ft {
-
-FtParams FtParams::from_env(FtParams p) {
-  p.enabled = env::get_bool("NARMA_FT", p.enabled);
-  p.recover = env::get_bool("NARMA_FT_RECOVER", p.recover);
-  p.ckpt_interval = static_cast<int>(
-      env::get_int("NARMA_FT_INTERVAL", p.ckpt_interval));
-  p.partner_offset = static_cast<int>(
-      env::get_int("NARMA_FT_PARTNER_OFFSET", p.partner_offset));
-  p.restart = us(env::get_double("NARMA_FT_RESTART_US", to_us(p.restart)));
-  p.min_fail_epoch = static_cast<std::uint64_t>(env::get_int(
-      "NARMA_FT_MIN_FAIL_EPOCH", static_cast<std::int64_t>(p.min_fail_epoch)));
-  p.log_capacity = static_cast<std::size_t>(env::get_int(
-      "NARMA_FT_LOG_CAP", static_cast<std::int64_t>(p.log_capacity)));
-  p.eager_trim = env::get_bool("NARMA_FT_TRIM", p.eager_trim);
-  return p;
-}
 
 namespace {
 
@@ -41,8 +24,6 @@ RecoveryManager::RecoveryManager(Rank& self, const FtParams& params,
   NARMA_CHECK(!protect_.empty()) << "ft: no protected windows";
   NARMA_CHECK(params_.ckpt_interval >= 1)
       << "ft: FtParams::ckpt_interval must be >= 1";
-  NARMA_CHECK(params_.log_capacity >= 1)
-      << "ft: FtParams::log_capacity must be >= 1";
   NARMA_CHECK(params_.partner_offset % n != 0)
       << "ft: partner_offset " << params_.partner_offset
       << " maps every rank onto itself at " << n << " ranks";
@@ -90,11 +71,11 @@ void RecoveryManager::put_notify(std::size_t win_idx,
   NARMA_CHECK(win_idx < protect_.size())
       << "ft: bad protected-window index " << win_idx;
   rma::Window& w = *protect_[win_idx];
-  NARMA_CHECK(log_entries_ < params_.log_capacity)
+  NARMA_CHECK(log_entries_ < FtParams::kLogCapacity)
       << "ft: notification log overflow at rank " << self_.id() << " ("
-      << params_.log_capacity
-      << " entries) — lower the checkpoint interval or raise "
-         "FtParams::log_capacity (NARMA_FT_LOG_CAP)";
+      << FtParams::kLogCapacity
+      << " entries) — lower the checkpoint interval "
+         "(FtParams::ckpt_interval, --ft-interval) or keep eager_trim on";
   DestLog& dst_log = log_[target];
   ReplayEntry e;
   e.epoch = epoch_ + 1;  // the epoch boundary this notification precedes

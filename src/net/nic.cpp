@@ -322,8 +322,9 @@ void Nic::push_cqe(const Cqe& cqe) {
       << dest_cq_.capacity()
       << " — raise WorldParams::fabric.dest_cq_capacity, consume "
          "notifications faster, or select the backpressure overflow policy "
-         "(FaultParams::overflow_policy, NARMA_OVERFLOW=backpressure); like "
-         "uGNI, CQ overflow under the fatal policy is unrecoverable";
+         "(FaultParams::overflow_policy; NARMA_OVERFLOW=backpressure in "
+         "narma_cli); like uGNI, CQ overflow under the fatal policy is "
+         "unrecoverable";
   commit(cqe);
 }
 
@@ -339,7 +340,8 @@ void Nic::push_shm(const ShmNotification& n) {
       << shm_ring_.capacity()
       << " — raise WorldParams::fabric.shm_ring_capacity, consume "
          "notifications faster, or select the backpressure overflow policy "
-         "(FaultParams::overflow_policy, NARMA_OVERFLOW=backpressure)";
+         "(FaultParams::overflow_policy; NARMA_OVERFLOW=backpressure in "
+         "narma_cli)";
   commit(n);
 }
 
@@ -375,7 +377,8 @@ void Nic::push_msg(NetMsg msg) {
       << mailbox_.size() << " of capacity " << mailbox_.capacity()
       << " — raise WorldParams::fabric.mailbox_capacity, progress the "
          "receiver, or select the backpressure overflow policy "
-         "(FaultParams::overflow_policy, NARMA_OVERFLOW=backpressure)";
+         "(FaultParams::overflow_policy; NARMA_OVERFLOW=backpressure in "
+         "narma_cli)";
   g_mailbox_depth_.set(static_cast<std::int64_t>(mailbox_.size()), t);
   progress_.notify(fabric_.engine(), t);
 }

@@ -128,11 +128,13 @@ struct FaultParams {
   /// fault-laden fatal-policy run does not die on a synthetic overflow.
   double pressure_rate = 0.0;
 
-  /// Probability that a rank fail-stops at an epoch boundary (drawn per
-  /// (rank, epoch) by FaultInjector::fail_draw; consulted only by the ft
-  /// layer at RecoveryManager::end_epoch, never by the transfer machinery,
-  /// so it does not count toward any_faults() and leaves message timing
-  /// bit-identical). At most `max_fails` failures fire per run.
+  /// Fail-stop draw rate: each (rank, epoch) pair draws once with this
+  /// probability (FaultInjector::fail_draw), and in an epoch where several
+  /// draws fire only the lowest firing rank fails (DESIGN.md §15). It is
+  /// not a per-rank probability of failing. Consulted only by the ft layer
+  /// at RecoveryManager::end_epoch, never by the transfer machinery, so it
+  /// does not count toward any_faults() and leaves message timing
+  /// bit-identical. At most `max_fails` failures fire per run.
   double fail_rate = 0.0;
   int max_fails = 1;
 
@@ -213,8 +215,7 @@ struct FabricParams {
   VerbsParams verbs;
 
   /// Backend used by every inter-node pair unless `route` overrides it.
-  /// Env/CLI selectable: NARMA_TRANSPORT=aries|ramc|verbs (World applies
-  /// it), --transport in the CLI tools.
+  /// narma_cli selects it with --transport=aries|ramc|verbs.
   BackendKind inter_node = BackendKind::kAries;
 
   /// Optional heterogeneous routing policy: called once per ordered node
@@ -237,8 +238,8 @@ struct FabricParams {
   std::size_t mailbox_capacity = 1 << 16;
   std::size_t shm_ring_capacity = 1 << 14;
 
-  /// Fault injection and overflow/flow-control policy. Environment
-  /// overrides (NARMA_OVERFLOW, NARMA_FAULT_*) are applied by World.
+  /// Fault injection and overflow/flow-control policy. narma_cli takes
+  /// these from NARMA_OVERFLOW and NARMA_FAULT_* (DESIGN.md §10).
   FaultParams faults;
 
   /// LogGP row of one lane, independent of routing (parameter-level lookup;

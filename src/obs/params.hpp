@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "common/time.hpp"
 
@@ -12,21 +13,27 @@ struct ObsParams {
   /// Outliers reported per family: the k ranks with the largest nonzero
   /// score (counters: total; gauges: high-water; histograms: max sample),
   /// computed when read from exact per-rank scalars. 0 disables.
-  /// NARMA_OBS_OUTLIER_K overrides.
   int outlier_k = 8;
 
   /// Registry rank sample (DESIGN.md §14): every rank when nranks is at
   /// most this, else this many evenly spaced ranks (0, stride, 2*stride,
   /// ...). Sampled ranks keep exact histograms, per-rank rows in the dump
   /// and the flight recorder, and Perfetto gauge tracks; counters and
-  /// gauges stay exact per rank either way. NARMA_OBS_SAMPLE_RANKS
-  /// overrides.
+  /// gauges stay exact per rank either way. narma_cli sets it with
+  /// --obs-sample-ranks.
   int sample_ranks = 64;
 
   /// Anomaly-journal ring capacity in records (src/obs/journal); 0 disables
   /// the journal entirely. The ring keeps the most recent records and
-  /// counts what it dropped. NARMA_OBS_JOURNAL_CAP overrides.
+  /// counts what it dropped.
   std::size_t journal_capacity = 4096;
+
+  /// Crash-dump directory; empty (the default) turns the dump off. When
+  /// set, a fatal error (failed NARMA_CHECK, deadlock, fatal_error) writes
+  /// this World's crash_{metrics,trace,msgtrace,timeseries,journal}.json
+  /// there before aborting (DESIGN.md §10). narma_cli takes it from
+  /// NARMA_CRASH_DIR.
+  std::string crash_dir;
 
   /// Master enable for causal message tracing (src/obs/msgtrace). Off by
   /// default: World::enable_msgtrace() flips it before run(), narma_cli

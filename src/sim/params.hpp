@@ -16,8 +16,7 @@ struct SimParams {
   std::uint32_t calendar_buckets = 256;
 
   /// Per-rank fiber stack size in bytes (rounded up to whole pages, minimum
-  /// Fiber::kMinStackBytes; NARMA_STACK_KB overrides via World). The stack
-  /// is reserved, not committed: RSS grows only with the pages a rank
+  /// Fiber::kMinStackBytes). The stack is reserved, not committed: RSS grows only with the pages a rank
   /// actually touches, so a generous default costs nothing at 4096 ranks. A
   /// guard page below the stack turns overflow into a deterministic fault.
   std::size_t stack_bytes = 256 * 1024;

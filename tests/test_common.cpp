@@ -133,17 +133,12 @@ TEST(TimeUnits, Conversions) {
 TEST(Env, ParsesAndFallsBack) {
   ::setenv("NARMA_TEST_INT", "42", 1);
   ::setenv("NARMA_TEST_DBL", "2.5", 1);
-  ::setenv("NARMA_TEST_BOOL", "true", 1);
-  ::setenv("NARMA_TEST_CHOICE", "ramc", 1);
   ::setenv("NARMA_TEST_EMPTY", "", 1);
   EXPECT_EQ(env::get_int("NARMA_TEST_INT", 7), 42);
   EXPECT_EQ(env::get_int("NARMA_TEST_MISSING", 7), 7);
   EXPECT_EQ(env::get_int("NARMA_TEST_EMPTY", 7), 7);
   EXPECT_DOUBLE_EQ(env::get_double("NARMA_TEST_DBL", 0.0), 2.5);
-  EXPECT_TRUE(env::get_bool("NARMA_TEST_BOOL", false));
   EXPECT_EQ(env::get_string("NARMA_TEST_MISSING", "d"), "d");
-  EXPECT_EQ(env::get_choice("NARMA_TEST_CHOICE", {"aries", "ramc"}), "ramc");
-  EXPECT_EQ(env::get_choice("NARMA_TEST_MISSING", {"aries", "ramc"}), "");
 }
 
 // A set value outside the accepted forms is fatal and names the variable,
@@ -162,49 +157,44 @@ TEST(Env, MalformedValuesAreFatal) {
         env::get_double("NARMA_FAULT_DROP", 0.0);
       },
       "NARMA_FAULT_DROP=\"0.05x\"; accepted: a decimal number");
-  EXPECT_DEATH(
-      {
-        ::setenv("NARMA_FT", "maybe", 1);
-        env::get_bool("NARMA_FT", false);
-      },
-      "NARMA_FT=\"maybe\"; accepted: 1.true.yes.on or 0.false.no.off");
-  EXPECT_DEATH(
-      {
-        ::setenv("NARMA_TEST_CHOICE", "shm", 1);
-        env::get_choice("NARMA_TEST_CHOICE", {"aries", "ramc"});
-      },
-      "NARMA_TEST_CHOICE=\"shm\"; accepted: aries.ramc");
 }
 
-// Every enum-valued World knob rejects unknown strings, and every numeric
-// one malformed numbers, at World construction.
-TEST(Env, WorldRejectsMalformedKnobs) {
-  const auto world_with = [](const char* name, const char* value) {
-    ::setenv(name, value, 1);
-    World w(2);
-  };
-  EXPECT_DEATH(world_with("NARMA_TRANSPORT", "shm"),
-               "NARMA_TRANSPORT=\"shm\"; accepted: aries.ramc.verbs");
-  EXPECT_DEATH(world_with("NARMA_OVERFLOW", "drop"),
-               "NARMA_OVERFLOW=\"drop\"; accepted: fatal.backpressure");
-  EXPECT_DEATH(world_with("NARMA_FAULT_DROP", "0.05x"),
-               "NARMA_FAULT_DROP=\"0.05x\"");
-  EXPECT_DEATH(world_with("NARMA_OBS_SAMPLE_RANKS", "many"),
-               "NARMA_OBS_SAMPLE_RANKS=\"many\"");
+// The parsers behind both the readers above and narma_cli's flags accept
+// the same forms, and a rejection names the knob, the text and the forms.
+// Empty text is malformed: the readers treat an empty variable as unset
+// before they parse.
+TEST(Env, ParsersNameTheKnobOnRejection) {
+  EXPECT_EQ(env::parse_int("--ranks", "16").value, 16);
+  EXPECT_TRUE(env::parse_int("--ranks", "16").error.empty());
+  EXPECT_EQ(env::parse_int("--ranks", "4x").error,
+            "--ranks=\"4x\"; accepted: a base-10 integer");
+  EXPECT_FALSE(env::parse_int("--ranks", "").error.empty());
+  EXPECT_DOUBLE_EQ(env::parse_double("--ft-fail-rate", "0.5").value, 0.5);
+  EXPECT_EQ(env::parse_double("--ft-fail-rate", "0.5x").error,
+            "--ft-fail-rate=\"0.5x\"; accepted: a decimal number");
+  EXPECT_TRUE(env::parse_bool("--ft", "on").value);
+  EXPECT_FALSE(env::parse_bool("--ft", "0").value);
+  EXPECT_EQ(env::parse_bool("--ft", "maybe").error,
+            "--ft=\"maybe\"; accepted: 1|true|yes|on or 0|false|no|off");
+  EXPECT_EQ(env::parse_choice("--variant", "mp", {"na", "mp"}).value, "mp");
+  EXPECT_EQ(env::parse_choice("--variant", "bogus", {"na", "mp"}).error,
+            "--variant=\"bogus\"; accepted: na|mp");
 }
 
-// Values in the accepted forms still configure the World as before.
-TEST(Env, WorldAcceptsWellFormedKnobs) {
+// The library reads no environment: a World uses its params as given,
+// whatever NARMA_* variables are set.
+TEST(Env, WorldIgnoresTheEnvironment) {
   ::setenv("NARMA_TRANSPORT", "verbs", 1);
+  ::setenv("NARMA_OVERFLOW", "backpressure", 1);
   ::setenv("NARMA_FAULT_DROP", "0.25", 1);
-  ::setenv("NARMA_OBS_SAMPLE_RANKS", "3", 1);
   World w(2);
   ::unsetenv("NARMA_TRANSPORT");
+  ::unsetenv("NARMA_OVERFLOW");
   ::unsetenv("NARMA_FAULT_DROP");
-  ::unsetenv("NARMA_OBS_SAMPLE_RANKS");
-  EXPECT_EQ(w.params().fabric.inter_node, net::BackendKind::kVerbs);
-  EXPECT_DOUBLE_EQ(w.params().fabric.faults.drop_rate, 0.25);
-  EXPECT_EQ(w.params().obs.sample_ranks, 3);
+  EXPECT_EQ(w.params().fabric.inter_node, net::BackendKind::kAries);
+  EXPECT_EQ(w.params().fabric.faults.overflow_policy,
+            net::OverflowPolicy::kFatal);
+  EXPECT_DOUBLE_EQ(w.params().fabric.faults.drop_rate, 0.0);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -8,9 +8,12 @@
 // determinism, and a property test pins the fault-free path to bit-identical
 // virtual times.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,26 +23,45 @@
 
 using namespace narma;
 
-TEST(FailureInjection, DestCqOverflowIsFatal) {
-  WorldParams wp;
+namespace {
+
+/// 32 notifications into a destination CQ of 8 that nobody consumes.
+void overflow_dest_cq(WorldParams wp) {
   wp.fabric.dest_cq_capacity = 8;
-  EXPECT_DEATH(
-      {
-        World world(2, wp);
-        world.run([](Rank& self) {
-          auto win = self.win_allocate(8, 1);
-          if (self.id() == 0) {
-            // 32 notifications into a CQ of 8 that nobody consumes.
-            for (int i = 0; i < 32; ++i)
-              self.na().put_notify(*win, na::as_bytes(nullptr, 0), 1, 0, 1);
-            win->flush(1);
-          } else {
-            self.ctx().yield_until(ms(10), "sleep");
-          }
-          self.barrier();
-        });
-      },
-      "completion queue overflow");
+  World world(2, wp);
+  world.run([](Rank& self) {
+    auto win = self.win_allocate(8, 1);
+    if (self.id() == 0) {
+      for (int i = 0; i < 32; ++i)
+        self.na().put_notify(*win, na::as_bytes(nullptr, 0), 1, 0, 1);
+      win->flush(1);
+    } else {
+      self.ctx().yield_until(ms(10), "sleep");
+    }
+    self.barrier();
+  });
+}
+
+}  // namespace
+
+TEST(FailureInjection, DestCqOverflowIsFatal) {
+  EXPECT_DEATH(overflow_dest_cq({}), "completion queue overflow");
+}
+
+// With ObsParams::crash_dir set, a fatal error leaves the World's telemetry
+// in that directory: the crash hook runs before the abort.
+TEST(FailureInjection, CrashDirReceivesTheDumpOnAFatal) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("narma_crash_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  WorldParams wp;
+  wp.obs.crash_dir = dir.string();
+  EXPECT_DEATH(overflow_dest_cq(wp), "completion queue overflow");
+  EXPECT_TRUE(std::filesystem::exists(dir / "crash_metrics.json"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "crash_journal.json"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FailureInjection, MailboxOverflowIsFatal) {

@@ -118,6 +118,64 @@ TEST(FtRecovery, StencilFailStopRecoversBitIdentical) {
   EXPECT_EQ(clean.victim_draws, 0u);
 }
 
+// Sequential multi-failure (max_fails > 1): across a seed sweep, every
+// recovered run equals the fault-free run of the same configuration, and the
+// fails summed over ranks equal what the plan schedules — one victim scan
+// per epoch from min_fail_epoch on, until the budget is spent.
+TEST(FtRecovery, SequentialFailuresRecoverAcrossSeeds) {
+  constexpr int kIters = 12;
+  constexpr int kMaxFails = 3;
+  apps::StencilConfig cfg;
+  cfg.rows = 32;
+  cfg.total_cols = 16;
+  cfg.iters = kIters;
+  cfg.variant = apps::StencilVariant::kNotified;
+  cfg.per_point = ns(2);
+  cfg.ft.enabled = true;
+  cfg.ft.ckpt_interval = 2;
+
+  struct Outcome {
+    apps::StencilResult r0;
+    std::uint64_t fails = 0;  // summed over ranks
+  };
+  const auto run = [&](const net::FaultParams& fp) {
+    WorldParams wp;
+    wp.fabric.faults = fp;
+    Outcome out;
+    World world(kRanks, wp);
+    world.run([&](Rank& self) {
+      const apps::StencilResult r = apps::run_stencil(self, cfg);
+      if (self.id() == 0) out.r0 = r;
+      out.fails += r.ft.fails;
+    });
+    return out;
+  };
+
+  const Outcome clean = run(net::FaultParams{});
+  ASSERT_TRUE(clean.r0.verified);
+  ASSERT_EQ(clean.fails, 0u);
+  int multi = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    net::FaultParams fp;
+    fp.seed = seed;
+    fp.fail_rate = 0.15;
+    fp.max_fails = kMaxFails;
+    std::uint64_t planned = 0;
+    net::FaultInjector plan(fp, kRanks);
+    for (std::uint64_t e = cfg.ft.min_fail_epoch;
+         e <= static_cast<std::uint64_t>(kIters) && planned < kMaxFails; ++e)
+      planned += plan.first_failing(e) >= 0;
+
+    const Outcome faulty = run(fp);
+    EXPECT_EQ(faulty.fails, planned) << "seed " << seed;
+    EXPECT_TRUE(faulty.r0.verified) << "seed " << seed;
+    EXPECT_EQ(faulty.r0.corner, clean.r0.corner) << "seed " << seed;
+    multi += planned > 1;
+  }
+  // The sweep must actually exercise more than one failure per run.
+  EXPECT_GE(multi, 3);
+}
+
 // The memoised victim scan picks the same rank as every rank scanning
 // 0..n-1 itself, and costs at most n draws per epoch however many ranks ask.
 TEST(FtRecovery, VictimScanMatchesLinearScanOncePerEpoch) {

@@ -16,13 +16,18 @@
 #include <cstdio>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/cholesky.hpp"
 #include "apps/stencil.hpp"
 #include "apps/tree.hpp"
+#include "common/env.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "narma/narma.hpp"
@@ -31,39 +36,80 @@ namespace {
 
 using namespace narma;
 
+/// One knob as given: a flag ("--ranks") or an environment variable
+/// ("NARMA_OVERFLOW"), read through the strict parsers of common/env.hpp.
+/// A malformed value is recorded against the knob's name and reads as the
+/// fallback; commands stop on it before they run anything.
+struct Value {
+  std::string name;
+  const std::string* text;  // nullptr when the knob is not set
+  std::vector<std::string>* errors;
+
+  explicit operator bool() const { return text != nullptr; }
+  template <class T>
+  T take(env::Parsed<T> p, T fallback) const {
+    if (p.error.empty()) return p.value;
+    errors->push_back(std::move(p.error));
+    return fallback;
+  }
+  std::int64_t num(std::int64_t fallback = 0) const {
+    return text ? take(env::parse_int(name, *text), fallback) : fallback;
+  }
+  int i32(int fallback = 0) const { return static_cast<int>(num(fallback)); }
+  std::uint64_t u64() const { return static_cast<std::uint64_t>(num()); }
+  double real(double fallback = 0) const {
+    return text ? take(env::parse_double(name, *text), fallback) : fallback;
+  }
+  bool on() const { return text && take(env::parse_bool(name, *text), false); }
+  std::string str() const { return text ? *text : std::string(); }
+  /// The first form is the default.
+  std::string choice(std::initializer_list<const char*> forms) const {
+    const std::string first = *forms.begin();
+    return text ? take(env::parse_choice(name, *text, forms), first) : first;
+  }
+};
+
+/// The command line. flag() marks a flag known; check() then rejects
+/// malformed values, unknown flags and stray positional arguments, so a
+/// command fails before it starts a run.
 struct Args {
   std::string command;
   std::map<std::string, std::string> kv;
   std::vector<std::string> positional;
+  std::set<std::string> known;
+  std::vector<std::string> errors;
 
-  long get(const std::string& key, long fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::stol(it->second);
+  Args(int argc, char** argv) {
+    if (argc > 1) command = argv[1];
+    for (int i = 2; i < argc; ++i) {
+      const std::string s = argv[i];
+      const auto eq = s.find('=');
+      if (s.rfind("--", 0) != 0)
+        positional.push_back(s);
+      else  // a bare --flag reads as "1"
+        kv[s.substr(2, eq == std::string::npos ? eq : eq - 2)] =
+            eq == std::string::npos ? "1" : s.substr(eq + 1);
+    }
   }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second;
+
+  Value flag(const std::string& key) {
+    known.insert(key);
+    const auto it = kv.find(key);
+    return {"--" + key, it == kv.end() ? nullptr : &it->second, &errors};
+  }
+
+  /// Prints every error seen so far; false when there was any.
+  bool check(bool takes_positional = false) {
+    for (const auto& [key, text] : kv)
+      if (!known.count(key)) errors.push_back("unknown flag --" + key);
+    if (!takes_positional)
+      for (const std::string& p : positional)
+        errors.push_back("unexpected argument \"" + p + '"');
+    for (const std::string& e : errors)
+      std::fprintf(stderr, "narma_cli %s: %s\n", command.c_str(), e.c_str());
+    return errors.empty();
   }
 };
-
-Args parse(int argc, char** argv) {
-  Args a;
-  if (argc > 1) a.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string s = argv[i];
-    if (s.rfind("--", 0) != 0) {
-      a.positional.push_back(std::move(s));
-      continue;
-    }
-    const auto eq = s.find('=');
-    if (eq == std::string::npos) {
-      a.kv[s.substr(2)] = "1";
-    } else {
-      a.kv[s.substr(2, eq - 2)] = s.substr(eq + 1);
-    }
-  }
-  return a;
-}
 
 int usage() {
   std::fputs(
@@ -73,7 +119,7 @@ int usage() {
       "  pingpong  --scheme=na|mp|os --ranks=N --bytes=B --reps=R\n"
       "            [--intranode]\n"
       "  stencil   --variant=na|mp|fence|pscw --ranks=N --rows=R --cols=C\n"
-      "            --iters=I [--ft ...]\n"
+      "            --iters=I [--per-point=PS] [--ft ...]\n"
       "  tree      --variant=na|mp|pscw|vendor --ranks=N --arity=K\n"
       "            --elems=E --reps=R [--ft ...]\n"
       "  cholesky  --variant=na|mp|os --ranks=N --nt=T --b=B [--gflops=G]\n"
@@ -98,7 +144,7 @@ int usage() {
       "            top regressions, families added/removed\n"
       "\n"
       "common:     [--transport=aries|ramc|verbs]  inter-node backend\n"
-      "                               (default aries; or env NARMA_TRANSPORT)\n"
+      "                               (default aries)\n"
       "            [--trace=FILE]     write a Chrome trace of the run\n"
       "            [--metrics=FILE]   write the metrics registry dump\n"
       "            [--msgtrace=FILE]  write the causal message trace\n"
@@ -110,126 +156,174 @@ int usage() {
       "                               in the metrics dump as obs.phase_*\n"
       "            [--journal=FILE]   write the anomaly journal\n"
       "                               (narma.journal.v1)\n"
-      "            [--obs-outlier-k=N]  outlier ranks per family (default 8)\n"
       "            [--obs-sample-ranks=N]  ranks keeping per-rank histograms\n"
       "                               and dump rows (default 64)\n"
-      "            [--journal-cap=N]  anomaly-journal capacity\n"
       "\n"
       "fault tolerance (stencil + tree, NotifiedAccess variant only):\n"
       "            [--ft]                   run through the recovery manager\n"
-      "            [--ft-fail-rate=R]       per-(rank,epoch) fail-stop rate\n"
+      "            [--ft-fail-rate=R]       per-(rank,epoch) fail-stop draw;\n"
+      "                                     the lowest firing rank fails\n"
       "            [--ft-max-fails=N]       fail-stop budget (default 1)\n"
       "            [--ft-interval=E]        checkpoint every E epochs\n"
-      "            [--ft-partner-offset=K]  checkpoint partner (rank+K)%%n\n"
+      "            [--ft-partner-offset=K]  checkpoint partner (rank+K)%n\n"
       "            [--ft-restart-us=T]      victim downtime before rejoin\n"
       "            [--ft-min-fail-epoch=E]  earliest epoch the plan fires\n"
-      "            [--ft-log-cap=N]         notification-log bound per rank\n"
-      "            [--ft-no-trim]           keep logs across checkpoints\n"
       "            [--ft-no-recover]        victims stay down (crash mode)\n"
-      "            env NARMA_FT_* overrides any of these (see README)\n",
+      "\n"
+      "environment (run commands):\n"
+      "            NARMA_OVERFLOW=fatal|backpressure  overflow policy\n"
+      "            NARMA_FAULT_SEED, NARMA_FAULT_DROP, NARMA_FAULT_DELAY,\n"
+      "            NARMA_FAULT_STALL, NARMA_FAULT_PRESSURE  fault plan\n"
+      "            NARMA_CRASH_DIR=DIR  dump crash_*.json there on a fatal\n"
+      "            error\n",
       stderr);
   return 2;
 }
 
-/// Applies the --transport flag: selects the inter-node backend for every
-/// channel (intra-node stays on shm). Mirrors the NARMA_TRANSPORT env knob.
-void apply_transport(WorldParams& wp, const Args& a) {
-  const std::string t = a.get("transport", "");
-  if (t.empty()) return;
-  if (t == "aries")
-    wp.fabric.inter_node = net::BackendKind::kAries;
-  else if (t == "ramc")
-    wp.fabric.inter_node = net::BackendKind::kRamc;
-  else if (t == "verbs")
-    wp.fabric.inter_node = net::BackendKind::kVerbs;
-  else
-    NARMA_FATAL("unknown --transport value") << " \"" << t << '"';
+/// What a run command configures through the knob table.
+struct RunParams {
+  WorldParams world;
+  ft::FtParams ft;
+  net::FaultParams& faults() { return world.fabric.faults; }
+};
+
+/// One World or ft knob: a flag ("--name") or an environment variable
+/// ("NARMA_NAME"), and where its value goes. Each knob has exactly one way
+/// in; the environment keeps only what the CI fault matrix and crash
+/// post-mortems set.
+struct Knob {
+  const char* name;
+  void (*set)(RunParams&, const Value&);
+};
+
+constexpr Knob kKnobs[] = {
+    {"--transport",
+     [](RunParams& p, const Value& v) {
+       // Intra-node pairs stay on shm, so shm is no inter-node choice.
+       const std::string t = v.choice({"aries", "ramc", "verbs"});
+       p.world.fabric.inter_node = t == "ramc"    ? net::BackendKind::kRamc
+                                   : t == "verbs" ? net::BackendKind::kVerbs
+                                                  : net::BackendKind::kAries;
+     }},
+    {"--obs-sample-ranks",
+     [](RunParams& p, const Value& v) { p.world.obs.sample_ranks = v.i32(); }},
+    {"NARMA_OVERFLOW",
+     [](RunParams& p, const Value& v) {
+       p.faults().overflow_policy =
+           v.choice({"fatal", "backpressure"}) == "backpressure"
+               ? net::OverflowPolicy::kBackpressure
+               : net::OverflowPolicy::kFatal;
+     }},
+    {"NARMA_FAULT_SEED",
+     [](RunParams& p, const Value& v) { p.faults().seed = v.u64(); }},
+    {"NARMA_FAULT_DROP",
+     [](RunParams& p, const Value& v) { p.faults().drop_rate = v.real(); }},
+    {"NARMA_FAULT_DELAY",
+     [](RunParams& p, const Value& v) { p.faults().delay_rate = v.real(); }},
+    {"NARMA_FAULT_STALL",
+     [](RunParams& p, const Value& v) { p.faults().stall_rate = v.real(); }},
+    {"NARMA_FAULT_PRESSURE",
+     [](RunParams& p, const Value& v) { p.faults().pressure_rate = v.real(); }},
+    {"NARMA_CRASH_DIR",
+     [](RunParams& p, const Value& v) { p.world.obs.crash_dir = v.str(); }},
+    // Fault tolerance (DESIGN.md §15): only stencil and tree accept these.
+    {"--ft", [](RunParams& p, const Value& v) { p.ft.enabled = v.on(); }},
+    {"--ft-fail-rate",
+     [](RunParams& p, const Value& v) { p.faults().fail_rate = v.real(); }},
+    {"--ft-max-fails",
+     [](RunParams& p, const Value& v) { p.faults().max_fails = v.i32(); }},
+    {"--ft-interval",
+     [](RunParams& p, const Value& v) { p.ft.ckpt_interval = v.i32(); }},
+    {"--ft-partner-offset",
+     [](RunParams& p, const Value& v) { p.ft.partner_offset = v.i32(); }},
+    {"--ft-restart-us",
+     [](RunParams& p, const Value& v) { p.ft.restart = us(v.real()); }},
+    {"--ft-min-fail-epoch",
+     [](RunParams& p, const Value& v) { p.ft.min_fail_epoch = v.u64(); }},
+    {"--ft-no-recover",
+     [](RunParams& p, const Value& v) { p.ft.recover = !v.on(); }},
+};
+
+/// Applies every knob of the table that is set: flags from the command
+/// line, variables from the environment. `with_ft` admits the --ft* rows.
+RunParams read_knobs(Args& a, bool with_ft) {
+  RunParams p;
+  for (const Knob& k : kKnobs) {
+    const std::string_view name = k.name;
+    if (!with_ft && name.starts_with("--ft")) continue;
+    const bool is_flag = name.starts_with("--");
+    const std::string text = is_flag ? "" : env::get_string(k.name, "");
+    const Value v = is_flag ? a.flag(std::string(name.substr(2)))
+                            : Value{k.name, text.empty() ? nullptr : &text,
+                                    &a.errors};
+    if (v) k.set(p, v);
+  }
+  return p;
 }
 
-/// Applies the observability flags. Mirrors the NARMA_OBS_* env knobs; a
-/// set env var still wins (resolve_params reads env last), so sweeps driven
-/// by either mechanism behave the same.
-void apply_obs_params(WorldParams& wp, const Args& a) {
-  if (a.kv.count("obs-outlier-k"))
-    wp.obs.outlier_k = static_cast<int>(a.get("obs-outlier-k", 0));
-  if (a.kv.count("obs-sample-ranks"))
-    wp.obs.sample_ranks = static_cast<int>(a.get("obs-sample-ranks", 0));
-  if (a.kv.count("journal-cap"))
-    wp.obs.journal_capacity =
-        static_cast<std::size_t>(std::max(0L, a.get("journal-cap", 0)));
-}
+/// One-line recovery summary of an ft run. Each rank's FtStats count only
+/// the fails it suffered and the entries it replayed, so those are summed
+/// over ranks; the last rank that failed supplies the restore epoch and
+/// recovery time, rank 0 the checkpoint view.
+struct FtRun {
+  ft::FtStats sum;
+  ft::FtStats victim;
 
-/// Applies the --ft* flags onto an app's recovery params (and the fail plan
-/// onto the world's fault params), then layers the NARMA_FT_* env on top —
-/// the same flags-then-env precedence every other knob here follows.
-/// Returns whether the ft driver is enabled.
-bool apply_ft(WorldParams& wp, ft::FtParams& p, const Args& a) {
-  if (a.kv.count("ft")) p.enabled = true;
-  if (a.kv.count("ft-interval"))
-    p.ckpt_interval = static_cast<int>(a.get("ft-interval", 0));
-  if (a.kv.count("ft-partner-offset"))
-    p.partner_offset = static_cast<int>(a.get("ft-partner-offset", 0));
-  if (a.kv.count("ft-restart-us"))
-    p.restart = us(static_cast<double>(a.get("ft-restart-us", 0)));
-  if (a.kv.count("ft-min-fail-epoch"))
-    p.min_fail_epoch =
-        static_cast<std::uint64_t>(a.get("ft-min-fail-epoch", 0));
-  if (a.kv.count("ft-log-cap"))
-    p.log_capacity = static_cast<std::size_t>(a.get("ft-log-cap", 0));
-  if (a.kv.count("ft-no-trim")) p.eager_trim = false;
-  if (a.kv.count("ft-no-recover")) p.recover = false;
-  if (a.kv.count("ft-fail-rate"))
-    wp.fabric.faults.fail_rate = std::stod(a.get("ft-fail-rate", "0"));
-  if (a.kv.count("ft-max-fails"))
-    wp.fabric.faults.max_fails = static_cast<int>(a.get("ft-max-fails", 1));
-  p = ft::FtParams::from_env(p);
-  return p.enabled;
-}
+  void add(const ft::FtStats& s) {
+    sum.fails += s.fails;
+    sum.replay_applied += s.replay_applied;
+    sum.replay_dupes += s.replay_dupes;
+    if (s.fails > 0) victim = s;
+  }
+  void print(const char* app, const ft::FtStats& rank0) const {
+    const ft::FtStats& s = sum.fails > 0 ? victim : rank0;
+    std::printf(
+        "%s-ft fails=%llu victim=%d restored_epoch=%llu recovery_us=%.2f "
+        "ckpts=%llu ckpt_kib=%.1f replay=%llu dupes=%llu\n",
+        app, static_cast<unsigned long long>(sum.fails), s.victim,
+        static_cast<unsigned long long>(s.restored_epoch),
+        to_us(s.recovery_time), static_cast<unsigned long long>(rank0.ckpts),
+        static_cast<double>(rank0.ckpt_bytes) / 1024.0,
+        static_cast<unsigned long long>(sum.replay_applied),
+        static_cast<unsigned long long>(sum.replay_dupes));
+  }
+};
 
-/// One-line recovery summary after an ft run: the victim's stats carry the
-/// recovery time, any rank's carry the plan-wide victim/checkpoint view.
-void print_ft_summary(const char* app, const ft::FtStats& victim,
-                      const ft::FtStats& rank0) {
-  const ft::FtStats& s = victim.fails > 0 ? victim : rank0;
-  std::printf(
-      "%s-ft fails=%llu victim=%d restored_epoch=%llu recovery_us=%.2f "
-      "ckpts=%llu ckpt_kib=%.1f replay=%llu dupes=%llu\n",
-      app, static_cast<unsigned long long>(s.fails), s.victim,
-      static_cast<unsigned long long>(s.restored_epoch),
-      to_us(s.recovery_time),
-      static_cast<unsigned long long>(rank0.ckpts),
-      static_cast<double>(rank0.ckpt_bytes) / 1024.0,
-      static_cast<unsigned long long>(s.replay_applied),
-      static_cast<unsigned long long>(s.replay_dupes));
-}
+/// The observability sinks a run asked for; an empty path is off.
+struct Sinks {
+  std::string trace, metrics, msgtrace, timeseries, journal;
+  std::uint64_t msgtrace_sample;
+  Time timeseries_window;
+  bool profile;
 
-/// Enables the observability sinks a run asked for (call before run()).
-void enable_observability(World& world, const Args& a) {
-  if (a.kv.count("trace")) world.enable_tracing();
-  if (a.kv.count("msgtrace"))
-    world.enable_msgtrace(
-        static_cast<std::uint64_t>(a.get("msgtrace-sample", 0)));
-  // Profiler before recorder: the recorder's probe charges itself to the
-  // obs phase only when the profiler already exists.
-  if (a.kv.count("profile")) world.enable_profiling();
-  if (a.kv.count("timeseries"))
-    world.enable_timeseries(
-        us(static_cast<Time>(a.get("timeseries-window-us", 0))));
-}
+  explicit Sinks(Args& a)
+      : trace(a.flag("trace").str()),
+        metrics(a.flag("metrics").str()),
+        msgtrace(a.flag("msgtrace").str()),
+        timeseries(a.flag("timeseries").str()),
+        journal(a.flag("journal").str()),
+        msgtrace_sample(a.flag("msgtrace-sample").u64()),
+        timeseries_window(us(
+            static_cast<Time>(a.flag("timeseries-window-us").num()))),
+        profile(a.flag("profile").on()) {}
 
-/// Writes the requested artifacts of a finished run (trace + metrics +
-/// msgtrace).
-void dump_artifacts(World& world, const Args& a) {
-  if (a.kv.count("trace")) world.dump_trace(a.get("trace", "trace.json"));
-  if (a.kv.count("metrics"))
-    world.dump_metrics(a.get("metrics", "metrics.json"));
-  if (a.kv.count("msgtrace"))
-    world.dump_msgtrace(a.get("msgtrace", "msgtrace.json"));
-  if (a.kv.count("timeseries"))
-    world.dump_timeseries(a.get("timeseries", "timeseries.json"));
-  if (a.kv.count("journal"))
-    world.dump_journal(a.get("journal", "journal.json"));
-}
+  /// Call before run().
+  void enable(World& world) const {
+    if (!trace.empty()) world.enable_tracing();
+    if (!msgtrace.empty()) world.enable_msgtrace(msgtrace_sample);
+    // Profiler before recorder: the recorder's probe charges itself to the
+    // obs phase only when the profiler already exists.
+    if (profile) world.enable_profiling();
+    if (!timeseries.empty()) world.enable_timeseries(timeseries_window);
+  }
+  void dump(World& world) const {
+    if (!trace.empty()) world.dump_trace(trace);
+    if (!metrics.empty()) world.dump_metrics(metrics);
+    if (!msgtrace.empty()) world.dump_msgtrace(msgtrace);
+    if (!timeseries.empty()) world.dump_timeseries(timeseries);
+    if (!journal.empty()) world.dump_journal(journal);
+  }
+};
 
 // --- report ------------------------------------------------------------------
 
@@ -238,8 +332,7 @@ void dump_artifacts(World& world, const Args& a) {
 /// the sampled ranks, host-time phase attribution (from --profile runs),
 /// per-backend notification and drain-cost rows, the engine event queue,
 /// and the obs self-cost.
-int report_metrics(const Args& a) {
-  const std::string path = a.get("metrics", "metrics.json");
+int report_metrics(const std::string& path) {
   const json::ParseResult m = json::parse_file(path);
   if (!m.ok) {
     std::fprintf(stderr, "report: %s: %s (offset %zu)\n", path.c_str(),
@@ -458,16 +551,19 @@ int report_metrics(const Args& a) {
   return 0;
 }
 
-int run_report(const Args& a) {
-  if (!a.kv.count("trace")) {
-    if (a.kv.count("metrics")) return report_metrics(a);
+int run_report(Args& a) {
+  const std::string trace_path = a.flag("trace").str();
+  const std::string metrics_path = a.flag("metrics").str();
+  // --top is the documented spelling; --topk stays as a fallback.
+  const auto topk =
+      static_cast<std::size_t>(a.flag("top").num(a.flag("topk").num(10)));
+  if (!a.check()) return 2;
+  if (trace_path.empty()) {
+    if (!metrics_path.empty()) return report_metrics(metrics_path);
     std::fputs("report: --trace=FILE and/or --metrics=FILE is required\n",
                stderr);
     return 2;
   }
-  const std::string trace_path = a.get("trace", "trace.json");
-  // --top is the documented spelling; --topk stays as a fallback.
-  const auto topk = static_cast<std::size_t>(a.get("top", a.get("topk", 10)));
 
   const json::ParseResult doc = json::parse_file(trace_path);
   if (!doc.ok) {
@@ -580,7 +676,7 @@ int run_report(const Args& a) {
 
   // Metrics-dump sections (busy fractions, phase attribution, backends,
   // histogram percentiles).
-  if (a.kv.count("metrics")) return report_metrics(a);
+  if (!metrics_path.empty()) return report_metrics(metrics_path);
   return 0;
 }
 
@@ -614,17 +710,19 @@ bool reduce_metrics(const json::Value& doc,
   return true;
 }
 
-int run_diff(const Args& a) {
-  if (a.positional.size() != 2) {
+int run_diff(Args& a) {
+  const std::vector<std::string>& paths = a.positional;
+  const auto topk = static_cast<std::size_t>(a.flag("top").num(15));
+  if (!a.check(true)) return 2;
+  if (paths.size() != 2) {
     std::fputs("diff: exactly two metrics dumps required: "
                "narma_cli diff <a.json> <b.json> [--top=N]\n",
                stderr);
     return 2;
   }
-  const auto topk = static_cast<std::size_t>(a.get("top", 15));
   std::map<std::string, ReducedFamily> base, cur;
   for (int side = 0; side < 2; ++side) {
-    const std::string& path = a.positional[static_cast<std::size_t>(side)];
+    const std::string& path = paths[static_cast<std::size_t>(side)];
     const json::ParseResult doc = json::parse_file(path);
     if (!doc.ok) {
       std::fprintf(stderr, "diff: %s: %s (offset %zu)\n", path.c_str(),
@@ -666,7 +764,7 @@ int run_diff(const Args& a) {
   std::printf(
       "diff %s -> %s: %zu families compared, %zu changed, %zu unchanged, "
       "%zu added, %zu removed\n",
-      a.positional[0].c_str(), a.positional[1].c_str(),
+      paths[0].c_str(), paths[1].c_str(),
       base.size() - removed.size(), rows.size(), unchanged, added.size(),
       removed.size());
 
@@ -705,13 +803,14 @@ constexpr const char* kLatCats[] = {"src_overhead", "chan_queue", "gap",
                                     "ser",          "wire",       "blocked",
                                     "match",        "retry",      "local"};
 
-int run_critpath(const Args& a) {
-  if (!a.kv.count("msgtrace")) {
+int run_critpath(Args& a) {
+  const std::string path = a.flag("msgtrace").str();
+  const auto topk = static_cast<std::size_t>(a.flag("top").num(10));
+  if (!a.check()) return 2;
+  if (path.empty()) {
     std::fputs("critpath: --msgtrace=FILE is required\n", stderr);
     return 2;
   }
-  const std::string path = a.get("msgtrace", "msgtrace.json");
-  const auto topk = static_cast<std::size_t>(a.get("top", 10));
 
   const json::ParseResult doc = json::parse_file(path);
   if (!doc.ok) {
@@ -853,8 +952,7 @@ int run_critpath(const Args& a) {
 /// Prints an anomaly-journal dump (narma.journal.v1): the bounded,
 /// virtual-time-ordered record of faults, backpressure episodes, overflow
 /// spills, stragglers, and model-residual flags.
-int print_journal(const Args& a) {
-  const std::string path = a.get("journal", "journal.json");
+int print_journal(const std::string& path) {
   const json::ParseResult doc = json::parse_file(path);
   if (!doc.ok) {
     std::fprintf(stderr, "timeline: %s: %s (offset %zu)\n", path.c_str(),
@@ -899,16 +997,19 @@ int print_journal(const Args& a) {
   return 0;
 }
 
-int run_timeline(const Args& a) {
-  if (!a.kv.count("timeseries")) {
-    if (a.kv.count("journal")) return print_journal(a);
+int run_timeline(Args& a) {
+  const std::string path = a.flag("timeseries").str();
+  const std::string journal_path = a.flag("journal").str();
+  const std::string perfetto_path = a.flag("perfetto").str();
+  const auto topk = static_cast<std::size_t>(a.flag("top").num(20));
+  if (!a.check()) return 2;
+  if (path.empty()) {
+    if (!journal_path.empty()) return print_journal(journal_path);
     std::fputs("timeline: --timeseries=FILE and/or --journal=FILE is "
                "required\n",
                stderr);
     return 2;
   }
-  const std::string path = a.get("timeseries", "timeseries.json");
-  const auto topk = static_cast<std::size_t>(a.get("top", 20));
 
   const json::ParseResult doc = json::parse_file(path);
   if (!doc.ok) {
@@ -1034,8 +1135,7 @@ int run_timeline(const Args& a) {
   // Perfetto counter tracks: one counter event per (family, row) at each
   // window end, same event shape as the live Tracer's gauge tracks, plus a
   // busy-fraction track per sampled rank.
-  if (a.kv.count("perfetto")) {
-    const std::string out_path = a.get("perfetto", "timeline_perfetto.json");
+  if (!perfetto_path.empty()) {
     std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
     auto emit = [&](const std::string& fields) {
@@ -1074,32 +1174,32 @@ int run_timeline(const Args& a) {
       }
     }
     out += "]}";
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
+    std::FILE* f = std::fopen(perfetto_path.c_str(), "w");
     if (!f) {
-      std::fprintf(stderr, "timeline: cannot write %s\n", out_path.c_str());
+      std::fprintf(stderr, "timeline: cannot write %s\n", perfetto_path.c_str());
       return 1;
     }
     std::fwrite(out.data(), 1, out.size(), f);
     std::fclose(f);
-    std::printf("\nwrote Perfetto counter tracks to %s\n", out_path.c_str());
+    std::printf("\nwrote Perfetto counter tracks to %s\n", perfetto_path.c_str());
   }
-  if (a.kv.count("journal")) return print_journal(a);
+  if (!journal_path.empty()) return print_journal(journal_path);
   return 0;
 }
 
-int run_pingpong(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 2));
-  const std::size_t bytes = static_cast<std::size_t>(a.get("bytes", 8));
-  const int reps = static_cast<int>(a.get("reps", 100));
-  const std::string scheme = a.get("scheme", "na");
+int run_pingpong(Args& a) {
+  RunParams p = read_knobs(a, false);
+  const int ranks = a.flag("ranks").i32(2);
+  const std::size_t bytes = static_cast<std::size_t>(a.flag("bytes").num(8));
+  const int reps = a.flag("reps").i32(100);
+  const std::string scheme = a.flag("scheme").choice({"na", "mp", "os"});
+  if (a.flag("intranode").on()) p.world.fabric.ranks_per_node = ranks;
+  const Sinks sinks(a);
+  if (!a.check()) return 2;
   NARMA_CHECK(ranks == 2) << "pingpong needs exactly 2 ranks";
 
-  WorldParams wp;
-  if (a.kv.count("intranode")) wp.fabric.ranks_per_node = ranks;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
-  World world(2, wp);
-  enable_observability(world, a);
+  World world(2, p.world);
+  sinks.enable(world);
 
   std::vector<double> samples;
   world.run([&](Rank& self) {
@@ -1163,95 +1263,97 @@ int run_pingpong(const Args& a) {
   });
   std::printf("pingpong scheme=%s bytes=%zu reps=%d half_rtt_us=%.3f\n",
               scheme.c_str(), bytes, reps, stats::median(samples));
-  dump_artifacts(world, a);
+  sinks.dump(world);
   return 0;
 }
 
-int run_stencil(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 4));
+int run_stencil(Args& a) {
+  const RunParams p = read_knobs(a, true);
+  const int ranks = a.flag("ranks").i32(4);
   apps::StencilConfig cfg;
-  cfg.rows = static_cast<int>(a.get("rows", 256));
-  cfg.total_cols = static_cast<int>(a.get("cols", 1024));
-  cfg.iters = static_cast<int>(a.get("iters", 2));
+  cfg.rows = a.flag("rows").i32(256);
+  cfg.total_cols = a.flag("cols").i32(1024);
+  cfg.iters = a.flag("iters").i32(2);
   // Calibrated per-point compute cost in ps (0 = measure the real kernel;
   // measured runs are host-dependent, calibrated runs are bit-deterministic).
-  cfg.per_point = static_cast<Time>(a.get("per-point", 0));
-  const std::string v = a.get("variant", "na");
+  cfg.per_point = static_cast<Time>(a.flag("per-point").num(0));
+  const std::string v =
+      a.flag("variant").choice({"na", "mp", "fence", "pscw"});
   cfg.variant = v == "mp"      ? apps::StencilVariant::kMessagePassing
                 : v == "fence" ? apps::StencilVariant::kFence
                 : v == "pscw"  ? apps::StencilVariant::kPscw
                                : apps::StencilVariant::kNotified;
-  WorldParams wp;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
-  const bool ft_on = apply_ft(wp, cfg.ft, a);
-  World world(ranks, wp);
-  enable_observability(world, a);
+  cfg.ft = p.ft;
+  const Sinks sinks(a);
+  if (!a.check()) return 2;
+  World world(ranks, p.world);
+  sinks.enable(world);
   apps::StencilResult res;
-  ft::FtStats victim;
+  FtRun ft_run;
   world.run([&](Rank& self) {
     const auto r = apps::run_stencil(self, cfg);
     if (self.id() == 0) res = r;
-    if (r.ft.fails > 0) victim = r.ft;
+    ft_run.add(r.ft);
   });
   std::printf(
       "stencil variant=%s ranks=%d rows=%d cols=%d gmops=%.4f verified=%s\n",
       v.c_str(), ranks, cfg.rows, cfg.total_cols, res.gmops,
       res.verified ? "yes" : "NO");
-  if (ft_on) print_ft_summary("stencil", victim, res.ft);
-  dump_artifacts(world, a);
+  if (cfg.ft.enabled) ft_run.print("stencil", res.ft);
+  sinks.dump(world);
   return res.verified ? 0 : 1;
 }
 
-int run_tree(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 17));
+int run_tree(Args& a) {
+  const RunParams p = read_knobs(a, true);
+  const int ranks = a.flag("ranks").i32(17);
   apps::TreeConfig cfg;
-  cfg.arity = static_cast<int>(a.get("arity", 16));
-  cfg.elems = static_cast<std::size_t>(a.get("elems", 1));
-  cfg.reps = static_cast<int>(a.get("reps", 5));
-  const std::string v = a.get("variant", "na");
+  cfg.arity = a.flag("arity").i32(16);
+  cfg.elems = static_cast<std::size_t>(a.flag("elems").num(1));
+  cfg.reps = a.flag("reps").i32(5);
+  const std::string v =
+      a.flag("variant").choice({"na", "mp", "pscw", "vendor"});
   cfg.variant = v == "mp"       ? apps::TreeVariant::kMessagePassing
                 : v == "pscw"   ? apps::TreeVariant::kPscw
                 : v == "vendor" ? apps::TreeVariant::kVendorReduce
                                 : apps::TreeVariant::kNotified;
-  WorldParams wp;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
-  const bool ft_on = apply_ft(wp, cfg.ft, a);
-  World world(ranks, wp);
-  enable_observability(world, a);
+  cfg.ft = p.ft;
+  const Sinks sinks(a);
+  if (!a.check()) return 2;
+  World world(ranks, p.world);
+  sinks.enable(world);
   apps::TreeResult res;
-  ft::FtStats victim;
+  FtRun ft_run;
   world.run([&](Rank& self) {
     const auto r = apps::run_tree(self, cfg);
     if (self.id() == 0) res = r;
-    if (r.ft.fails > 0) victim = r.ft;
+    ft_run.add(r.ft);
   });
   std::printf(
       "tree variant=%s ranks=%d arity=%d elems=%zu us_per_op=%.2f "
       "verified=%s\n",
       v.c_str(), ranks, cfg.arity, cfg.elems, res.per_op_us,
       res.verified ? "yes" : "NO");
-  if (ft_on) print_ft_summary("tree", victim, res.ft);
-  dump_artifacts(world, a);
+  if (cfg.ft.enabled) ft_run.print("tree", res.ft);
+  sinks.dump(world);
   return res.verified ? 0 : 1;
 }
 
-int run_cholesky(const Args& a) {
-  const int ranks = static_cast<int>(a.get("ranks", 4));
+int run_cholesky(Args& a) {
+  const RunParams p = read_knobs(a, false);
+  const int ranks = a.flag("ranks").i32(4);
   apps::CholeskyConfig cfg;
-  cfg.nt = static_cast<int>(a.get("nt", 12));
-  cfg.b = static_cast<int>(a.get("b", 32));
-  cfg.model_gflops = static_cast<double>(a.get("gflops", 10));
-  const std::string v = a.get("variant", "na");
+  cfg.nt = a.flag("nt").i32(12);
+  cfg.b = a.flag("b").i32(32);
+  cfg.model_gflops = a.flag("gflops").real(10);
+  const std::string v = a.flag("variant").choice({"na", "mp", "os"});
   cfg.variant = v == "mp"   ? apps::CholeskyVariant::kMessagePassing
                 : v == "os" ? apps::CholeskyVariant::kOneSided
                             : apps::CholeskyVariant::kNotified;
-  WorldParams wp;
-  apply_transport(wp, a);
-  apply_obs_params(wp, a);
-  World world(ranks, wp);
-  enable_observability(world, a);
+  const Sinks sinks(a);
+  if (!a.check()) return 2;
+  World world(ranks, p.world);
+  sinks.enable(world);
   apps::CholeskyResult res;
   world.run([&](Rank& self) {
     const auto r = apps::run_cholesky(self, cfg);
@@ -1262,21 +1364,22 @@ int run_cholesky(const Args& a) {
       "residual=%.2e verified=%s\n",
       v.c_str(), ranks, cfg.nt, cfg.b, to_ms(res.elapsed), res.gflops,
       res.residual, res.verified ? "yes" : "NO");
-  dump_artifacts(world, a);
+  sinks.dump(world);
   return res.verified ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-  if (a.command == "pingpong") return run_pingpong(a);
-  if (a.command == "stencil") return run_stencil(a);
-  if (a.command == "tree") return run_tree(a);
-  if (a.command == "cholesky") return run_cholesky(a);
-  if (a.command == "report") return run_report(a);
-  if (a.command == "timeline") return run_timeline(a);
-  if (a.command == "critpath") return run_critpath(a);
-  if (a.command == "diff") return run_diff(a);
+  Args a(argc, argv);
+  const std::string& cmd = a.command;
+  if (cmd == "pingpong") return run_pingpong(a);
+  if (cmd == "stencil") return run_stencil(a);
+  if (cmd == "tree") return run_tree(a);
+  if (cmd == "cholesky") return run_cholesky(a);
+  if (cmd == "report") return run_report(a);
+  if (cmd == "timeline") return run_timeline(a);
+  if (cmd == "critpath") return run_critpath(a);
+  if (cmd == "diff") return run_diff(a);
   return usage();
 }
