@@ -1,5 +1,5 @@
-// Shared randomized-schedule harness for the transport-backend bit-identity
-// property test (tests/test_transport_backends.cpp).
+// Shared randomized-schedule harnesses for the bit-identity property tests
+// (tests/test_transport_backends.cpp, tests/test_obs_aggregate.cpp).
 //
 // schedule_hash(seed) runs one seeded producer/consumer workload — random
 // rank count, node layout, matcher, payload sizes straddling every lane
@@ -13,9 +13,15 @@
 // tree (PR 5 head, commit 9ca08a6) over seeds 1..kGoldenScheduleCount. The
 // backend refactor must reproduce it exactly: the default Aries backend is
 // required to be bit-identical to the hard-coded fabric it replaced.
+//
+// surface_hash(seed), further down, widens the same idea to every origin
+// operation shape, two-sided sends and every transport layout.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -167,5 +173,250 @@ inline constexpr std::uint64_t kGoldenScheduleHash = 0x30db7fcc5f99eca0ull;
 inline constexpr std::uint64_t kGoldenScheduleCountShort = 100;
 inline constexpr std::uint64_t kGoldenScheduleHashShort =
     0x3acdd9c56ae77b70ull;
+
+}  // namespace narma::golden
+
+namespace narma::golden {
+
+/// Full-surface randomized schedule: every origin operation shape of the
+/// public API over every transport layout. Ranks 1..n-1 issue a seeded mix
+/// of notified accesses into rank 0's window (put, strided put, get,
+/// fetch-add, compare-and-swap), plain RMA into any other rank's window
+/// (put, strided put, get, fetch-add i64/f64, compare-and-swap) and
+/// two-sided sends to rank 0 straddling the eager/rendezvous threshold,
+/// with asynchronous progression on or off. The inter-node fabric is
+/// aries, ramc or verbs at one or two ranks per node, or all ranks share
+/// one node (the shm layout). The fold covers per-rank finish times, every
+/// FabricCounters field and a checksum of every rank's window plus the
+/// data each origin read back (get buffers, fetched values, received
+/// messages).
+/// Word-wise multiplicative checksum of a byte range (cheap enough to run
+/// over whole windows for every seed).
+inline std::uint64_t checksum(std::span<const std::byte> b) {
+  std::uint64_t h = kFnvOffset;
+  std::size_t i = 0;
+  for (; i + 8 <= b.size(); i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, b.data() + i, 8);
+    h = (h ^ w) * kFnvPrime;
+  }
+  for (; i < b.size(); ++i)
+    h = (h ^ static_cast<std::uint64_t>(b[i])) * kFnvPrime;
+  return h;
+}
+
+inline std::uint64_t surface_hash(std::uint64_t seed) {
+  Xoshiro256 rng(seed * 0xd1b54a32d192ed03ull + 7);
+
+  const int nranks = 2 + static_cast<int>(rng.next_below(4));  // 2..5
+  WorldParams wp;
+  static constexpr net::BackendKind kInter[] = {net::BackendKind::kAries,
+                                                net::BackendKind::kRamc,
+                                                net::BackendKind::kVerbs};
+  const std::uint64_t layout = rng.next_below(4);
+  if (layout == 3) {
+    wp.fabric.ranks_per_node = nranks;  // one node: every pair is shm
+  } else {
+    wp.fabric.inter_node = kInter[layout];
+    wp.fabric.ranks_per_node = 1 + static_cast<int>(rng.next_below(2));
+  }
+  wp.mp.async_progression = rng.next_below(2) != 0;
+  wp.mp.eager_threshold = 1024;
+  wp.na.enable_shm_inline = rng.next_below(4) != 0;
+  wp.enable_metrics = rng.next_below(2) != 0;
+
+  // Op kinds. Notified (into rank 0, counted by its wildcard request):
+  //   0 put_notify, 1 put_notify_strided, 2 get_notify,
+  //   3 fetch_add_notify_i64, 4 compare_swap_notify_i64.
+  // Plain RMA (into a random other rank, flushed): 5 put, 6 put_strided,
+  //   7 get, 8 fetch_add_i64, 9 fetch_add_f64, 10 compare_swap_i64.
+  // Two-sided: 11 send to rank 0.
+  constexpr int kKinds = 12;
+  struct Op {
+    int kind;
+    int target;
+    std::uint32_t bytes;  // contiguous size, strided block, or message size
+    std::uint32_t nblocks;
+    std::uint64_t stride;  // strided target stride (bytes, disp_unit 1)
+    std::uint64_t disp;
+    int tag;
+    std::int64_t operand;
+  };
+  constexpr std::size_t kWinBytes = 1 << 16;
+  constexpr std::size_t kAtomicBytes = 256;  // [0, 256): 8-byte atomic slots
+  constexpr std::size_t kBufBytes = 16384;
+  std::vector<std::vector<Op>> plan(static_cast<std::size_t>(nranks));
+  int notified = 0;
+  int sends = 0;
+  for (int p = 1; p < nranks; ++p) {
+    const int k = 1 + static_cast<int>(rng.next_below(8));
+    for (int m = 0; m < k; ++m) {
+      Op op{};
+      op.kind = static_cast<int>(rng.next_below(kKinds));
+      if (op.kind <= 4 || op.kind == 11) {
+        op.target = 0;
+      } else {
+        op.target = static_cast<int>(rng.next_below(
+            static_cast<std::uint64_t>(nranks - 1)));
+        if (op.target >= p) ++op.target;
+      }
+      static constexpr std::uint32_t kSizes[] = {0,   1,    8,    32,  64,
+                                                 96,  512,  2048, 4096, 8192};
+      static constexpr std::uint32_t kMsgSizes[] = {256, 4096, 16384};
+      static constexpr std::uint32_t kBlocks[] = {8, 64, 512};
+      op.bytes = kSizes[rng.next_below(10)];
+      op.nblocks = 1 + static_cast<std::uint32_t>(rng.next_below(4));
+      if (op.kind == 1 || op.kind == 6) {
+        op.bytes = kBlocks[rng.next_below(3)];
+        op.stride = op.bytes + 64 * rng.next_below(3);
+      }
+      if (op.kind == 11) op.bytes = kMsgSizes[rng.next_below(3)];
+      op.tag = static_cast<int>(rng.next_below(16));
+      op.operand = static_cast<std::int64_t>(rng.next_below(1000)) - 500;
+      const bool atomic = op.kind == 3 || op.kind == 4 ||
+                          (op.kind >= 8 && op.kind <= 10);
+      op.disp = atomic ? 8 * rng.next_below(kAtomicBytes / 8)
+                       : kAtomicBytes + 8 * rng.next_below(
+                                            (kWinBytes - kAtomicBytes -
+                                             8192) / 8);
+      if (op.kind <= 4) ++notified;
+      if (op.kind == 11) ++sends;
+      plan[static_cast<std::size_t>(p)].push_back(op);
+    }
+  }
+
+  World world(nranks, wp);
+  std::vector<std::uint64_t> sums(static_cast<std::size_t>(nranks), 0);
+  world.run([&](Rank& self) {
+    const auto me = static_cast<std::size_t>(self.id());
+    auto win = self.win_allocate(kWinBytes, 1);
+    // Atomic slots: alternate integers and doubles; the rest a rank pattern.
+    auto slots = win->local<std::int64_t>();
+    for (std::size_t i = 0; i < kAtomicBytes / 8; ++i)
+      slots[i] = (i % 2) ? std::bit_cast<std::int64_t>(0.5 * double(i))
+                         : static_cast<std::int64_t>(i * 3 + me);
+    auto bytes = win->local<std::byte>();
+    for (std::size_t i = kAtomicBytes; i < kWinBytes; ++i)
+      bytes[i] = static_cast<std::byte>((i * 31 + me * 7) & 0xff);
+    self.barrier();
+
+    std::uint64_t h = kFnvOffset;
+    if (self.id() != 0) {
+      std::vector<std::byte> buf(kBufBytes);
+      for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::byte>((i + me * 13) & 0xff);
+      std::vector<std::byte> in(kBufBytes);
+      for (const Op& op : plan[me]) {
+        std::int64_t old = 0;
+        double fold_d = 0;
+        const std::span<const std::byte> src{buf.data(), op.bytes};
+        // Source stride for strided ops: one block apart plus 16 bytes.
+        const std::size_t sstride = op.bytes + 16;
+        const std::span<const std::byte> ssrc{
+            buf.data(), (op.nblocks - 1) * sstride + op.bytes};
+        switch (op.kind) {
+          case 0:
+            self.na().put_notify(*win, src, 0, op.disp, op.tag);
+            break;
+          case 1:
+            self.na().put_notify_strided(*win, ssrc, op.bytes, op.nblocks,
+                                         sstride, 0, op.disp, op.stride,
+                                         op.tag);
+            break;
+          case 2:
+            self.na().get_notify(*win, {in.data(), op.bytes}, 0, op.disp,
+                                 op.tag);
+            break;
+          case 3:
+            self.na().fetch_add_notify_i64(*win, 0, op.disp, op.operand, &old,
+                                           op.tag);
+            break;
+          case 4:
+            self.na().compare_swap_notify_i64(*win, 0, op.disp,
+                                              static_cast<std::int64_t>(
+                                                  op.disp / 8 * 3),
+                                              op.operand, &old, op.tag);
+            break;
+          case 5:
+            win->put(buf.data(), op.bytes, op.target, op.disp);
+            break;
+          case 6:
+            win->put_strided(buf.data(), op.bytes, op.nblocks, sstride,
+                             op.target, op.disp, op.stride);
+            break;
+          case 7:
+            win->get(in.data(), op.bytes, op.target, op.disp);
+            break;
+          case 8:
+            win->fetch_add_i64(op.target, op.disp, op.operand, &old);
+            break;
+          case 9:
+            win->fetch_add_f64(op.target, op.disp, 0.25 * double(op.operand),
+                               &fold_d);
+            break;
+          case 10:
+            win->compare_swap_i64(op.target, op.disp,
+                                  static_cast<std::int64_t>(op.disp / 8 * 3),
+                                  op.operand, &old);
+            break;
+          default:
+            self.send(buf.data(), op.bytes, 0, 5);
+            break;
+        }
+        if (op.kind != 11) win->flush(op.target);
+        h = fnv_fold(h, static_cast<std::uint64_t>(old));
+        h = fnv_fold(h, std::bit_cast<std::uint64_t>(fold_d));
+        if (op.kind == 2 || op.kind == 7)
+          h = fnv_fold(h, checksum({in.data(), op.bytes}));
+      }
+    } else {
+      std::vector<std::byte> in(kBufBytes);
+      for (int s = 0; s < sends; ++s) {
+        mp::Status st;
+        self.recv(in.data(), in.size(), mp::kAnySource, 5, &st);
+        h = fnv_fold(h, static_cast<std::uint64_t>(st.source));
+        h = fnv_fold(h, st.bytes);
+        h = fnv_fold(h, checksum({in.data(), st.bytes}));
+      }
+      if (notified > 0) {
+        auto req = self.na().notify_init(*win, na::MatchSpec::any(),
+                                         static_cast<std::uint32_t>(notified));
+        self.na().start(req);
+        self.na().wait(req);
+      }
+    }
+    self.barrier();
+    sums[me] = fnv_fold(h, checksum(bytes));
+  });
+
+  std::uint64_t hash = kFnvOffset;
+  for (int r = 0; r < nranks; ++r) {
+    hash = fnv_fold(hash, static_cast<std::uint64_t>(
+                              world.engine().rank(r).now()));
+    hash = fnv_fold(hash, sums[static_cast<std::size_t>(r)]);
+  }
+  const net::FabricCounters& fc = world.fabric().counters();
+  for (const std::uint64_t v :
+       {fc.data_transfers, fc.ctrl_transfers, fc.responses, fc.acks,
+        fc.notifications, fc.bytes_on_wire, fc.retries, fc.drops,
+        fc.credit_stalls, fc.nic_stalls, fc.dead_drops})
+    hash = fnv_fold(hash, v);
+  return hash;
+}
+
+/// Fold of surface_hash over seeds 1..n.
+inline std::uint64_t all_surface_hash(std::uint64_t n) {
+  std::uint64_t h = kFnvOffset;
+  for (std::uint64_t s = 1; s <= n; ++s) h = fnv_fold(h, surface_hash(s));
+  return h;
+}
+
+/// Generated at the tree before the NIC's transfer bodies were folded into
+/// one write path and one request/response path; the fold must reproduce
+/// them exactly. The short prefix runs in Debug/sanitizer builds.
+inline constexpr std::uint64_t kSurfaceCount = 1000;
+inline constexpr std::uint64_t kSurfaceHash = 0xfc177618fddc6509ull;
+inline constexpr std::uint64_t kSurfaceCountShort = 100;
+inline constexpr std::uint64_t kSurfaceHashShort = 0xf005fea4f429ac52ull;
 
 }  // namespace narma::golden

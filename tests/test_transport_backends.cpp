@@ -33,6 +33,20 @@ TEST(TransportGolden, DefaultBackendBitIdenticalToPreRefactorFabric) {
 #endif
 }
 
+// Every origin operation shape (contiguous, strided, get, atomics; notified
+// and plain), two-sided eager/rendezvous sends with and without async
+// progression, over aries, ramc, verbs and the all-shm layout. The golden
+// values were generated before the NIC's transfer bodies were folded.
+TEST(TransportGolden, FullSurfaceBitIdenticalToUnfoldedNic) {
+#ifdef NDEBUG
+  EXPECT_EQ(golden::all_surface_hash(golden::kSurfaceCount),
+            golden::kSurfaceHash);
+#else
+  EXPECT_EQ(golden::all_surface_hash(golden::kSurfaceCountShort),
+            golden::kSurfaceHashShort);
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // Routing policy.
 // ---------------------------------------------------------------------------
