@@ -8,27 +8,6 @@
 
 namespace narma::na {
 
-namespace {
-
-/// Injection-site shim: samples a message at API entry (before the software
-/// overhead is charged) and returns its MsgId, 0 when untraced.
-obs::MsgId trace_begin(net::Nic& nic, obs::MsgOp op, int target,
-                       std::size_t bytes) {
-  obs::MsgTrace* mt = nic.fabric().msgtrace();
-  if (!mt) return 0;
-  return mt->begin(nic.rank(), op, target,
-                   static_cast<std::uint32_t>(bytes), nic.ctx().now());
-}
-
-/// Issue hop: the op has paid its origin overhead and is handed to the NIC.
-void trace_issue(net::Nic& nic, obs::MsgId mid) {
-  if (mid)
-    nic.fabric().msgtrace()->hop(mid, nic.rank(), obs::HopKind::kIssue,
-                                 nic.ctx().now());
-}
-
-}  // namespace
-
 // ------------------------------------------------------------- SlotPool --
 
 RequestSlot* SlotPool::alloc() {
@@ -171,36 +150,41 @@ void NaEngine::bind_metrics(obs::Registry& reg) {
 
 // --- Origin side --------------------------------------------------------------
 
-void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
-                          int target, std::uint64_t target_disp, int tag) {
+net::NotifyAttr NaEngine::begin_notified(rma::Window& win, obs::MsgOp op,
+                                         int target, std::size_t bytes,
+                                         int tag) {
   NARMA_CHECK(tag >= 0 && static_cast<std::uint32_t>(tag) <= net::kMaxTag)
       << "notified-access tag " << tag << " outside the " << net::kTagBits
       << "-bit immediate range (hardware constraint, paper Sec. III-B)";
-  net::Nic& nic = router_.nic();
-  const obs::MsgId mid =
-      trace_begin(nic, obs::MsgOp::kPutNotify, target, src.size());
-  nic.ctx().advance(params_.t_na);
-  trace_issue(nic, mid);
+  net::NotifyAttr na = win.begin_origin(op, target, bytes, params_.t_na);
+  na.notify = true;
+  na.imm = net::encode_imm(rank(), tag);
+  na.window = win.id();
+  return na;
+}
 
+void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
+                          int target, std::uint64_t target_disp, int tag) {
+  const net::NotifyAttr na =
+      begin_notified(win, obs::MsgOp::kPutNotify, target, src.size(), tag);
+  net::Nic& nic = router_.nic();
   const std::size_t bytes = src.size();
-  const std::uint32_t imm = net::encode_imm(nic.rank(), tag);
   const std::uint64_t offset = win.byte_offset(target_disp);
-  net::Fabric& fabric = nic.fabric();
 
   // The routed backend decides how the notification surfaces; only the
   // shm-ring model takes the XPMEM software path below — every other model
   // (dest-CQ CQE, counting completion, write-with-immediate) is handled
   // inside the NIC behind the backend-neutral NotifyAttr.
-  if (fabric.backend_for(nic.rank(), target).notify_model() ==
+  if (nic.fabric().backend_for(nic.rank(), target).notify_model() ==
       net::NotifyModel::kShmRing) {
     // XPMEM path (paper Sec. IV-C): a cache-line notification ring entry.
     net::ShmNotification n;
-    n.imm = imm;
-    n.window = win.id();
+    n.imm = na.imm;
+    n.window = na.window;
     n.key = win.remote_key(target);
     n.offset = offset;
     n.bytes = static_cast<std::uint32_t>(bytes);
-    n.msg = mid;
+    n.msg = na.msg;
     if (params_.enable_shm_inline && bytes <= params_.shm_inline_max) {
       // Inline transfer: the payload rides inside the notification entry
       // and is committed by the target at match time.
@@ -221,8 +205,6 @@ void NaEngine::put_notify(rma::Window& win, std::span<const std::byte> src,
   // Hardware notification path: RDMA put with the immediate surfaced by
   // the routed backend (uGNI dest-CQ CQE, RAMC counting completion, verbs
   // write-with-immediate).
-  net::NotifyAttr na{true, imm, win.id()};
-  na.msg = mid;
   nic.put(target, win.remote_key(target), offset, src.data(), bytes, na,
           &win.pending(target));
 }
@@ -234,68 +216,50 @@ void NaEngine::put_notify_strided(rma::Window& win,
                                   std::size_t src_stride_bytes, int target,
                                   std::uint64_t target_disp,
                                   std::uint64_t target_stride, int tag) {
-  NARMA_CHECK(tag >= 0 && static_cast<std::uint32_t>(tag) <= net::kMaxTag)
-      << "notified-access tag " << tag << " outside the immediate range";
   NARMA_CHECK(nblocks == 0 ||
               src.size() >= (nblocks - 1) * src_stride_bytes + block_bytes)
       << "source span smaller than the strided extent";
-  net::Nic& nic = router_.nic();
-  const obs::MsgId mid = trace_begin(nic, obs::MsgOp::kPutNotifyStrided,
-                                     target, block_bytes * nblocks);
-  nic.ctx().advance(params_.t_na);
-  trace_issue(nic, mid);
-  const std::uint32_t imm = net::encode_imm(nic.rank(), tag);
-
-  std::vector<net::Nic::IoSegment> segs;
-  segs.reserve(nblocks);
-  const std::byte* base = src.data();
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    segs.push_back({win.byte_offset(target_disp + b * target_stride),
-                    base + b * src_stride_bytes, block_bytes});
-  }
+  const net::NotifyAttr na =
+      begin_notified(win, obs::MsgOp::kPutNotifyStrided, target,
+                     block_bytes * nblocks, tag);
   // Noncontiguous notified accesses always use the CQE path (one
   // notification for the whole shape); the shm inline optimization only
   // applies to small contiguous payloads.
-  net::NotifyAttr na{true, imm, win.id()};
-  na.msg = mid;
-  nic.put_iov(target, win.remote_key(target), segs, na,
-              &win.pending(target));
+  router_.nic().put_iov(target, win.remote_key(target),
+                        win.strided_segments(src.data(), block_bytes, nblocks,
+                                             src_stride_bytes, target_disp,
+                                             target_stride),
+                        na, &win.pending(target));
 }
 
 void NaEngine::get_notify(rma::Window& win, std::span<std::byte> dst,
                           int target, std::uint64_t target_disp, int tag) {
-  NARMA_CHECK(tag >= 0 && static_cast<std::uint32_t>(tag) <= net::kMaxTag)
-      << "notified-access tag " << tag << " outside the immediate range";
-  net::Nic& nic = router_.nic();
-  const obs::MsgId mid =
-      trace_begin(nic, obs::MsgOp::kGetNotify, target, dst.size());
-  nic.ctx().advance(params_.t_na);
-  trace_issue(nic, mid);
-  const std::uint32_t imm = net::encode_imm(nic.rank(), tag);
+  const net::NotifyAttr na =
+      begin_notified(win, obs::MsgOp::kGetNotify, target, dst.size(), tag);
   // Both inter- and intra-node notified gets use the destination-CQ path:
   // uGNI immediates are available for reads too (unlike InfiniBand, paper
   // Sec. IV-A), and the target polls both queues anyway.
-  net::NotifyAttr na{true, imm, win.id()};
-  na.msg = mid;
-  nic.get(target, win.remote_key(target), win.byte_offset(target_disp),
-          dst.data(), dst.size(), na, &win.pending(target));
+  router_.nic().get(target, win.remote_key(target),
+                    win.byte_offset(target_disp), dst.data(), dst.size(), na,
+                    &win.pending(target));
+}
+
+void NaEngine::atomic_notify(rma::Window& win, net::Nic::AtomicOp op,
+                             int target, std::uint64_t target_disp,
+                             std::int64_t operand, std::int64_t compare,
+                             std::int64_t* result, int tag) {
+  const net::NotifyAttr na = begin_notified(
+      win, obs::MsgOp::kAtomicNotify, target, sizeof(std::int64_t), tag);
+  router_.nic().atomic(target, win.remote_key(target),
+                       win.byte_offset(target_disp), op, operand, compare,
+                       result, na, &win.pending(target));
 }
 
 void NaEngine::fetch_add_notify_i64(rma::Window& win, int target,
                                     std::uint64_t target_disp, std::int64_t v,
                                     std::int64_t* result, int tag) {
-  NARMA_CHECK(tag >= 0 && static_cast<std::uint32_t>(tag) <= net::kMaxTag);
-  net::Nic& nic = router_.nic();
-  const obs::MsgId mid = trace_begin(nic, obs::MsgOp::kAtomicNotify, target,
-                                     sizeof(std::int64_t));
-  nic.ctx().advance(params_.t_na);
-  trace_issue(nic, mid);
-  const std::uint32_t imm = net::encode_imm(nic.rank(), tag);
-  net::NotifyAttr na{true, imm, win.id()};
-  na.msg = mid;
-  nic.atomic(target, win.remote_key(target), win.byte_offset(target_disp),
-             net::Nic::AtomicOp::kAddI64, v, 0, result, na,
-             &win.pending(target));
+  atomic_notify(win, net::Nic::AtomicOp::kAddI64, target, target_disp, v, 0,
+                result, tag);
 }
 
 void NaEngine::compare_swap_notify_i64(rma::Window& win, int target,
@@ -303,18 +267,8 @@ void NaEngine::compare_swap_notify_i64(rma::Window& win, int target,
                                        std::int64_t compare,
                                        std::int64_t desired,
                                        std::int64_t* result, int tag) {
-  NARMA_CHECK(tag >= 0 && static_cast<std::uint32_t>(tag) <= net::kMaxTag);
-  net::Nic& nic = router_.nic();
-  const obs::MsgId mid = trace_begin(nic, obs::MsgOp::kAtomicNotify, target,
-                                     sizeof(std::int64_t));
-  nic.ctx().advance(params_.t_na);
-  trace_issue(nic, mid);
-  const std::uint32_t imm = net::encode_imm(nic.rank(), tag);
-  net::NotifyAttr na{true, imm, win.id()};
-  na.msg = mid;
-  nic.atomic(target, win.remote_key(target), win.byte_offset(target_disp),
-             net::Nic::AtomicOp::kCasI64, desired, compare, result, na,
-             &win.pending(target));
+  atomic_notify(win, net::Nic::AtomicOp::kCasI64, target, target_disp,
+                desired, compare, result, tag);
 }
 
 // --- Target side ----------------------------------------------------------------

@@ -305,6 +305,16 @@ class NaEngine {
   void reset_cache_misses() { misses_ = CacheMisses{}; }
 
  private:
+  /// The origin preamble of the five notified ops: the tag check (the
+  /// immediate carries kTagBits of tag), the window's trace/overhead
+  /// preamble charging t_na, and the notification attributes.
+  net::NotifyAttr begin_notified(rma::Window& win, obs::MsgOp op, int target,
+                                 std::size_t bytes, int tag);
+  /// The two notified 8-byte atomics.
+  void atomic_notify(rma::Window& win, net::Nic::AtomicOp op, int target,
+                     std::uint64_t target_disp, std::int64_t operand,
+                     std::int64_t compare, std::int64_t* result, int tag);
+
   static bool matches(const RequestSlot& s, std::uint32_t imm,
                       std::uint64_t window) {
     return s.window == window &&

@@ -13,23 +13,6 @@ namespace {
 constexpr std::uint32_t kPscwKind = 0x0201;
 constexpr std::uint64_t kSubPost = 0;
 constexpr std::uint64_t kSubComplete = 1;
-
-// Lifecycle-trace helpers: begin() snapshots the injection instant before
-// the API overhead is charged; trace_issue() marks the post-overhead handoff
-// to the NIC. Both only read the clock.
-obs::MsgId trace_begin(net::Nic& nic, obs::MsgOp op, int target,
-                       std::size_t bytes) {
-  obs::MsgTrace* mt = nic.fabric().msgtrace();
-  if (!mt) return 0;
-  return mt->begin(nic.rank(), op, target, static_cast<std::uint32_t>(bytes),
-                   nic.ctx().now());
-}
-
-void trace_issue(net::Nic& nic, obs::MsgId mid) {
-  if (mid)
-    nic.fabric().msgtrace()->hop(mid, nic.rank(), obs::HopKind::kIssue,
-                                 nic.ctx().now());
-}
 }  // namespace
 
 // -------------------------------------------------------------- WinManager --
@@ -122,18 +105,34 @@ Window::~Window() {
   mgr_.windows_.erase(id_);
 }
 
-void Window::put(const void* src, std::size_t bytes, int target,
-                 std::uint64_t target_disp) {
-  // Host-time attribution: origin-side RMA plumbing (descriptor setup, NIC
-  // handoff) counts as transfer work, like the other injection sites below.
-  obs::PhaseScope prof_scope(nic().fabric().profiler(),
-                             obs::Phase::kTransfer);
-  const obs::MsgId mid = trace_begin(nic(), obs::MsgOp::kPut, target, bytes);
-  router_.nic().ctx().advance(mgr_.params().o_put);
-  trace_issue(nic(), mid);
-  mgr_.c_puts_.inc();
+net::NotifyAttr Window::begin_origin(obs::MsgOp op, int target,
+                                     std::size_t bytes, Time overhead) {
+  // The lifecycle begins at the injection instant, before the API overhead
+  // is charged; the kIssue hop marks the post-overhead handoff to the NIC.
+  net::Nic& n = nic();
+  obs::MsgTrace* mt = n.fabric().msgtrace();
+  const obs::MsgId mid =
+      mt ? mt->begin(n.rank(), op, target, static_cast<std::uint32_t>(bytes),
+                     n.ctx().now())
+         : 0;
+  n.ctx().advance(overhead);
+  if (mid) mt->hop(mid, n.rank(), obs::HopKind::kIssue, n.ctx().now());
   net::NotifyAttr attr;
   attr.msg = mid;
+  return attr;
+}
+
+// Host-time attribution: origin-side RMA plumbing (descriptor setup, NIC
+// handoff) counts as transfer work, so every op below opens a kTransfer
+// scope around its preamble and NIC call.
+
+void Window::put(const void* src, std::size_t bytes, int target,
+                 std::uint64_t target_disp) {
+  obs::PhaseScope prof_scope(nic().fabric().profiler(),
+                             obs::Phase::kTransfer);
+  const net::NotifyAttr attr =
+      begin_origin(obs::MsgOp::kPut, target, bytes, mgr_.params().o_put);
+  mgr_.c_puts_.inc();
   nic().put(target, remote_key(target), byte_offset(target_disp), src, bytes,
             attr, &pending(target));
 }
@@ -144,86 +143,71 @@ void Window::put_strided(const void* src, std::size_t block_bytes,
                          std::uint64_t target_stride) {
   obs::PhaseScope prof_scope(nic().fabric().profiler(),
                              obs::Phase::kTransfer);
-  const obs::MsgId mid = trace_begin(nic(), obs::MsgOp::kPutStrided, target,
-                                     block_bytes * nblocks);
-  router_.nic().ctx().advance(mgr_.params().o_put);
-  trace_issue(nic(), mid);
+  const net::NotifyAttr attr =
+      begin_origin(obs::MsgOp::kPutStrided, target, block_bytes * nblocks,
+                   mgr_.params().o_put);
   mgr_.c_puts_.inc();
+  nic().put_iov(target, remote_key(target),
+                strided_segments(src, block_bytes, nblocks, src_stride_bytes,
+                                 target_disp, target_stride),
+                attr, &pending(target));
+}
+
+std::vector<net::Nic::IoSegment> Window::strided_segments(
+    const void* src, std::size_t block_bytes, std::size_t nblocks,
+    std::size_t src_stride_bytes, std::uint64_t target_disp,
+    std::uint64_t target_stride) const {
   std::vector<net::Nic::IoSegment> segs;
   segs.reserve(nblocks);
   const auto* base = static_cast<const std::byte*>(src);
-  for (std::size_t b = 0; b < nblocks; ++b) {
+  for (std::size_t b = 0; b < nblocks; ++b)
     segs.push_back({byte_offset(target_disp + b * target_stride),
                     base + b * src_stride_bytes, block_bytes});
-  }
-  net::NotifyAttr attr;
-  attr.msg = mid;
-  nic().put_iov(target, remote_key(target), segs, attr, &pending(target));
+  return segs;
 }
 
 void Window::get(void* dst, std::size_t bytes, int target,
                  std::uint64_t target_disp) {
   obs::PhaseScope prof_scope(nic().fabric().profiler(),
                              obs::Phase::kTransfer);
-  const obs::MsgId mid = trace_begin(nic(), obs::MsgOp::kGet, target, bytes);
-  router_.nic().ctx().advance(mgr_.params().o_put);
-  trace_issue(nic(), mid);
+  const net::NotifyAttr attr =
+      begin_origin(obs::MsgOp::kGet, target, bytes, mgr_.params().o_put);
   mgr_.c_gets_.inc();
-  net::NotifyAttr attr;
-  attr.msg = mid;
   nic().get(target, remote_key(target), byte_offset(target_disp), dst, bytes,
             attr, &pending(target));
 }
 
-void Window::fetch_add_i64(int target, std::uint64_t target_disp,
-                           std::int64_t v, std::int64_t* result) {
+void Window::atomic(net::Nic::AtomicOp op, int target,
+                    std::uint64_t target_disp, std::int64_t operand,
+                    std::int64_t compare, std::int64_t* result) {
   obs::PhaseScope prof_scope(nic().fabric().profiler(),
                              obs::Phase::kTransfer);
-  const obs::MsgId mid =
-      trace_begin(nic(), obs::MsgOp::kAtomic, target, sizeof(std::int64_t));
-  router_.nic().ctx().advance(mgr_.params().o_atomic);
-  trace_issue(nic(), mid);
+  const net::NotifyAttr attr =
+      begin_origin(obs::MsgOp::kAtomic, target, sizeof(std::int64_t),
+                   mgr_.params().o_atomic);
   mgr_.c_atomics_.inc();
-  net::NotifyAttr attr;
-  attr.msg = mid;
-  nic().atomic(target, remote_key(target), byte_offset(target_disp),
-               net::Nic::AtomicOp::kAddI64, v, 0, result, attr,
-               &pending(target));
+  nic().atomic(target, remote_key(target), byte_offset(target_disp), op,
+               operand, compare, result, attr, &pending(target));
+}
+
+void Window::fetch_add_i64(int target, std::uint64_t target_disp,
+                           std::int64_t v, std::int64_t* result) {
+  atomic(net::Nic::AtomicOp::kAddI64, target, target_disp, v, 0, result);
 }
 
 void Window::fetch_add_f64(int target, std::uint64_t target_disp, double v,
                            double* result) {
-  obs::PhaseScope prof_scope(nic().fabric().profiler(),
-                             obs::Phase::kTransfer);
-  const obs::MsgId mid =
-      trace_begin(nic(), obs::MsgOp::kAtomic, target, sizeof(double));
-  router_.nic().ctx().advance(mgr_.params().o_atomic);
-  trace_issue(nic(), mid);
-  mgr_.c_atomics_.inc();
-  net::NotifyAttr attr;
-  attr.msg = mid;
   // The NIC's atomic unit is 8 bytes; reinterpret through the result slot.
-  nic().atomic(target, remote_key(target), byte_offset(target_disp),
-               net::Nic::AtomicOp::kAddF64, std::bit_cast<std::int64_t>(v), 0,
-               reinterpret_cast<std::int64_t*>(result), attr,
-               &pending(target));
+  atomic(net::Nic::AtomicOp::kAddF64, target, target_disp,
+         std::bit_cast<std::int64_t>(v), 0,
+         reinterpret_cast<std::int64_t*>(result));
 }
 
 void Window::compare_swap_i64(int target, std::uint64_t target_disp,
                               std::int64_t compare, std::int64_t desired,
                               std::int64_t* result) {
-  obs::PhaseScope prof_scope(nic().fabric().profiler(),
-                             obs::Phase::kTransfer);
-  const obs::MsgId mid =
-      trace_begin(nic(), obs::MsgOp::kAtomic, target, sizeof(std::int64_t));
-  router_.nic().ctx().advance(mgr_.params().o_atomic);
-  trace_issue(nic(), mid);
-  mgr_.c_atomics_.inc();
-  net::NotifyAttr attr;
-  attr.msg = mid;
-  nic().atomic(target, remote_key(target), byte_offset(target_disp),
-               net::Nic::AtomicOp::kCasI64, desired, compare, result, attr,
-               &pending(target));
+  atomic(net::Nic::AtomicOp::kCasI64, target, target_disp, desired, compare,
+         result);
 }
 
 void Window::flush(int target) {

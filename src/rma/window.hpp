@@ -19,6 +19,7 @@
 #include "mp/collectives.hpp"
 #include "mp/endpoint.hpp"
 #include "net/router.hpp"
+#include "obs/msgtrace.hpp"
 
 namespace narma::rma {
 
@@ -168,10 +169,31 @@ class Window {
     return disp * disp_unit_;
   }
 
+  /// The origin preamble of every one-sided op on this window, plain or
+  /// notified: opens the op's msgtrace lifecycle at the current instant,
+  /// charges the software overhead `overhead` to the rank's clock, and
+  /// marks the handoff to the NIC. Returns NIC attributes carrying the
+  /// lifecycle id (0 when untraced) and no notification.
+  net::NotifyAttr begin_origin(obs::MsgOp op, int target, std::size_t bytes,
+                               Time overhead);
+
+  /// The gathered-write segments of a strided access: `nblocks` blocks of
+  /// `block_bytes`, read `src_stride_bytes` apart and written
+  /// `target_stride` displacement units apart from `target_disp`.
+  std::vector<net::Nic::IoSegment> strided_segments(
+      const void* src, std::size_t block_bytes, std::size_t nblocks,
+      std::size_t src_stride_bytes, std::uint64_t target_disp,
+      std::uint64_t target_stride) const;
+
  private:
   friend class WinManager;
   Window(WinManager& mgr, std::uint64_t id, void* base, std::size_t bytes,
          std::size_t disp_unit, std::vector<std::byte> owned);
+
+  /// The three 8-byte atomics: one preamble, one NIC atomic.
+  void atomic(net::Nic::AtomicOp op, int target, std::uint64_t target_disp,
+              std::int64_t operand, std::int64_t compare,
+              std::int64_t* result);
 
   void on_post(int src);
   void on_complete(int src);
