@@ -393,4 +393,11 @@ Writer& Writer::value(bool b) {
   return *this;
 }
 
+bool write_file(const std::string& path, std::string_view doc) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) return false;
+  const bool written = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  return (std::fclose(f) == 0) && written;
+}
+
 }  // namespace narma::json

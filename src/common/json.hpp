@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace narma::json {
@@ -120,5 +121,10 @@ class Writer {
   std::vector<bool> has_prev_;  // per nesting level
   bool after_key_ = false;
 };
+
+/// Writes `doc` to `path`, replacing the file. True only when the file
+/// opened, every byte was written and the close, which flushes, succeeded:
+/// a disk that fills at flush time is a failed write, not a short file.
+bool write_file(const std::string& path, std::string_view doc);
 
 }  // namespace narma::json

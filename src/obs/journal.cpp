@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace narma::obs {
 
 const char* to_string(JournalKind k) {
@@ -159,12 +161,7 @@ std::string Journal::to_json() const {
 }
 
 bool Journal::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return json::write_file(path, to_json());
 }
 
 }  // namespace narma::obs

@@ -1,12 +1,12 @@
 #include "obs/msgtrace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/assert.hpp"
+#include "common/json.hpp"
 
 namespace narma::obs {
 
@@ -402,12 +402,7 @@ std::string MsgTrace::to_json() const {
 }
 
 bool MsgTrace::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return json::write_file(path, to_json());
 }
 
 }  // namespace narma::obs

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace narma::sim {
 
 namespace {
@@ -74,12 +76,7 @@ std::string Tracer::to_json() const {
 }
 
 bool Tracer::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
+  return json::write_file(path, to_json());
 }
 
 }  // namespace narma::sim

@@ -5,6 +5,8 @@
 // inline-transfer path.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/world.hpp"
@@ -340,19 +342,60 @@ TEST(Na, SourceWildcardTagSpecific) {
   });
 }
 
-TEST(Na, InvalidTagAborts) {
+// Every notified op refuses a tag that does not fit the immediate, with
+// the one message naming the kTagBits limit.
+enum class NaOp { kPut, kPutStrided, kGet, kFetchAdd, kCompareSwap };
+
+class NaTag : public ::testing::TestWithParam<NaOp> {};
+
+TEST_P(NaTag, InvalidTagAborts) {
+  const NaOp op = GetParam();
   World world(2);
-  world.run([](Rank& self) {
+  world.run([op](Rank& self) {
     auto win = self.win_allocate(8, 1);
     if (self.id() == 0) {
+      const int bad = static_cast<int>(net::kMaxTag) + 1;
+      std::int64_t v = 0;
+      const auto bytes = std::as_writable_bytes(std::span{&v, 1});
       EXPECT_DEATH(
-          self.na().put_notify(*win, na::as_bytes(nullptr, 0), 1, 0,
-                               static_cast<int>(net::kMaxTag) + 1),
-          "immediate range");
+          {
+            switch (op) {
+              case NaOp::kPut:
+                self.na().put_notify(*win, bytes, 1, 0, bad);
+                break;
+              case NaOp::kPutStrided:
+                self.na().put_notify_strided(*win, bytes, 8, 1, 8, 1, 0, 8,
+                                             bad);
+                break;
+              case NaOp::kGet:
+                self.na().get_notify(*win, bytes, 1, 0, bad);
+                break;
+              case NaOp::kFetchAdd:
+                self.na().fetch_add_notify_i64(*win, 1, 0, 1, &v, bad);
+                break;
+              case NaOp::kCompareSwap:
+                self.na().compare_swap_notify_i64(*win, 1, 0, 0, 1, &v, bad);
+                break;
+            }
+          },
+          "notified-access tag 65536 outside the 16-bit immediate range");
     }
     self.barrier();
   });
 }
+
+std::string na_op_name(const ::testing::TestParamInfo<NaOp>& info) {
+  static constexpr const char* kNames[] = {
+      "put_notify", "put_notify_strided", "get_notify",
+      "fetch_add_notify_i64", "compare_swap_notify_i64"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOps, NaTag,
+                         ::testing::Values(NaOp::kPut, NaOp::kPutStrided,
+                                           NaOp::kGet, NaOp::kFetchAdd,
+                                           NaOp::kCompareSwap),
+                         na_op_name);
 
 TEST(Na, FreeChargesAndInvalidates) {
   World world(1);
