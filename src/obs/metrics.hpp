@@ -298,7 +298,10 @@ class Registry {
   int sample_index(int rank) const;
 
   int nranks_;
-  ObsParams params_;
+  // The one ObsParams knob read after construction (sample_ranks is
+  // consumed into sample_ranks_): no params copy, so the registry's
+  // footprint does not move with unrelated settings.
+  int outlier_k_;
   std::vector<int> sample_ranks_;  // ascending
   int sample_stride_ = 1;
   // Sorted map: stable pointer per family and deterministic JSON order.
